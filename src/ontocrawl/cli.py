@@ -17,7 +17,8 @@ import sys
 from pathlib import Path
 
 from . import export as export_mod
-from .crawler import (
+# save_checkpoint stays bound here for tools that wrap it by name.
+from .crawler import (  # noqa: F401
     Crawler,
     CrawlConfig,
     load_checkpoint,
@@ -173,6 +174,7 @@ def _build_oracle(
 
 
 def _write_outputs(crawler: Crawler, out_dir: Path) -> None:
+    """Everything but the checkpoint, which the crawler keeps itself."""
     stats = export_mod.compute_stats(
         crawler.hierarchy,
         crawler.ledger,
@@ -192,61 +194,45 @@ def _write_outputs(crawler: Crawler, out_dir: Path) -> None:
     (out_dir / "stats.txt").write_text(
         export_mod.render_stats_text(stats), encoding="utf-8"
     )
-    save_checkpoint(crawler.to_checkpoint_dict(), out_dir / "checkpoint.json")
 
 
 def _cmd_crawl(args: argparse.Namespace) -> int:
-    config = _load_config(args)
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    query_log = QueryLog(out_dir / "queries.jsonl")
-    ledger = CostLedger()
-    oracle = _build_oracle(config, out_dir, query_log, ledger)
-    crawler = Crawler(
-        config,
-        oracle,
-        query_log=query_log,
-        ledger=ledger,
-        checkpoint_path=out_dir / "checkpoint.json",
-        rejection_path=out_dir / "rejected.jsonl",
-    )
-    try:
-        crawler.run()
-    except CrawlAbortedError as exc:
-        _write_outputs(crawler, out_dir)
-        print(f"crawl aborted, checkpoint saved: {exc}", file=sys.stderr)
-        return EXIT_ABORTED
-    _write_outputs(crawler, out_dir)
-    print(
-        f"crawl finished: {len(crawler.hierarchy)} concepts, "
-        f"{len(crawler.hierarchy.direct_edges())} subsumptions "
-        f"-> {out_dir}"
-    )
-    return EXIT_OK
+    return _run_crawl(_load_config(args), Path(args.out_dir))
 
 
 def _cmd_resume(args: argparse.Namespace) -> int:
     data = load_checkpoint(args.checkpoint)
     out_dir = Path(args.out_dir) if args.out_dir else Path(args.checkpoint).parent
-    out_dir.mkdir(parents=True, exist_ok=True)
     config = CrawlConfig.from_dict(data.get("config", {}))
+    return _run_crawl(config, out_dir, data)
+
+
+def _run_crawl(config: CrawlConfig, out_dir: Path, data: dict | None = None) -> int:
+    """Crawl into ``out_dir``: from the seed, or on from checkpoint ``data``."""
+    out_dir.mkdir(parents=True, exist_ok=True)
     query_log = QueryLog(out_dir / "queries.jsonl")
-    ledger = CostLedger()
-    oracle = _build_oracle(config, out_dir, query_log, ledger)
-    crawler = Crawler.from_checkpoint(
-        data,
-        oracle,
-        query_log=query_log,
-        checkpoint_path=out_dir / "checkpoint.json",
-        rejection_path=out_dir / "rejected.jsonl",
-    )
-    oracle.ledger = crawler.ledger  # restored snapshot keeps accumulating
     try:
-        crawler.run()
-    except CrawlAbortedError as exc:
-        _write_outputs(crawler, out_dir)
-        print(f"crawl aborted again, checkpoint saved: {exc}", file=sys.stderr)
-        return EXIT_ABORTED
+        ledger = CostLedger()
+        oracle = _build_oracle(config, out_dir, query_log, ledger)
+        files = {
+            "query_log": query_log,
+            "checkpoint_path": out_dir / "checkpoint.json",
+            "rejection_path": out_dir / "rejected.jsonl",
+        }
+        if data is None:
+            crawler = Crawler(config, oracle, ledger=ledger, **files)
+        else:
+            crawler = Crawler.from_checkpoint(data, oracle, **files)
+            oracle.ledger = crawler.ledger  # restored snapshot keeps accumulating
+        try:
+            crawler.run()
+        except CrawlAbortedError as exc:
+            _write_outputs(crawler, out_dir)
+            again = "" if data is None else " again"
+            print(f"crawl aborted{again}, checkpoint saved: {exc}", file=sys.stderr)
+            return EXIT_ABORTED
+    finally:
+        query_log.close()
     _write_outputs(crawler, out_dir)
     print(
         f"crawl finished: {len(crawler.hierarchy)} concepts, "

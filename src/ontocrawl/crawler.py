@@ -3,18 +3,25 @@
 The frontier is the set of unexplored concepts above the depth cutoff,
 visited shallowest-first with discovery order as the tiebreak.  Every listed
 candidate is either recognized as an existing concept (rediscovery: a new
-edge, no re-verification) or verified and classified into the hierarchy.  A
-checkpoint is written after every exploration; an unrecoverable oracle
-failure aborts the run resumably.
+edge, no re-verification) or verified and classified into the hierarchy.  An
+unrecoverable oracle failure aborts the run resumably.
+
+Every exploration commits to the checkpoint.  The first commit writes the
+full snapshot (the base); each later one appends one JSON line to a journal
+beside it (``<checkpoint>.journal``) holding the delta from the previous
+commit.  ``run()`` compacts the journal into the snapshot when it ends, so
+the journal exists only mid-run; ``load_checkpoint`` replays a journal left
+behind by an interrupted run onto its base.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import logging
 import os
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 from . import insertion
@@ -65,41 +72,17 @@ class CrawlConfig:
             )
 
     def to_dict(self) -> dict:
-        return {
-            "seed_name": self.seed_name,
-            "exploration_depth": self.exploration_depth,
-            "ft": self.ft,
-            "n_samples": self.n_samples,
-            "max_concepts": self.max_concepts,
-            "oracle": self.oracle,
-            "params": dict(self.params),
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "CrawlConfig":
-        known = {
-            "seed_name",
-            "exploration_depth",
-            "ft",
-            "n_samples",
-            "max_concepts",
-            "oracle",
-            "params",
-        }
-        unknown = set(data) - known
+        unknown = set(data) - {f.name for f in fields(cls)}
         if unknown:
             raise ConfigError(f"unknown config fields: {sorted(unknown)}")
         if "seed_name" not in data:
             raise ConfigError("config needs a seed_name")
-        cfg = cls(
-            seed_name=data["seed_name"],
-            exploration_depth=data.get("exploration_depth"),
-            ft=data.get("ft", 20),
-            n_samples=data.get("n_samples", 100),
-            max_concepts=data.get("max_concepts"),
-            oracle=data.get("oracle", "llm"),
-            params=dict(data.get("params", {})),
-        )
+        cfg = cls(**data)
+        cfg.params = dict(cfg.params)
         cfg.validate()
         return cfg
 
@@ -151,9 +134,9 @@ class Crawler:
         self.explorations = 0
         self.probes_issued = 0
         self.probe_baseline = 0
-        if self.rejection_path is not None:
-            self.rejection_path.parent.mkdir(parents=True, exist_ok=True)
-            self.rejection_path.write_text("", encoding="utf-8")
+        # The journal index of the last commit; None until the base is written.
+        self._committed: dict | None = None
+        self._rewrite_rejection_file()
 
     # ------------------------------------------------------------------
 
@@ -184,23 +167,29 @@ class Crawler:
                 )
                 self._process_candidates(cid, c_name, candidates)
         except TransportError:
-            self._write_checkpoint()
+            self._commit()
             raise
         self.hierarchy.mark_explored(cid)
         self.explorations += 1
-        self._write_checkpoint()
+        self._commit()
         return True
 
     def run(self) -> None:
-        """Crawl to completion or abort resumably on an unrecoverable failure."""
+        """Crawl to completion or abort resumably on an unrecoverable failure.
+
+        Either way the checkpoint ends as one compacted snapshot; any other
+        exception leaves the base and journal of the last committed step.
+        """
         try:
             while self.step():
                 pass
         except TransportError as exc:
+            self._compact()
             path = str(self.checkpoint_path) if self.checkpoint_path else None
             raise CrawlAbortedError(
                 f"crawl aborted by oracle failure: {exc}", checkpoint_path=path
             ) from exc
+        self._compact()
 
     # ------------------------------------------------------------------
 
@@ -299,7 +288,14 @@ class Crawler:
         self.rejections.append(record)
         if self.rejection_path is not None:
             with self.rejection_path.open("a", encoding="utf-8") as fh:
-                fh.write(json.dumps(record, ensure_ascii=False) + "\n")
+                fh.write(_jsonl(record))
+
+    def _rewrite_rejection_file(self) -> None:
+        if self.rejection_path is not None:
+            self.rejection_path.parent.mkdir(parents=True, exist_ok=True)
+            self.rejection_path.write_text(
+                "".join(_jsonl(r) for r in self.rejections), encoding="utf-8"
+            )
 
     # ------------------------------------------------------------------
     # checkpointing
@@ -329,9 +325,30 @@ class Crawler:
             "rejections": self.rejections,
         }
 
-    def _write_checkpoint(self) -> None:
-        if self.checkpoint_path is not None:
-            save_checkpoint(self.to_checkpoint_dict(), self.checkpoint_path)
+    def _commit(self) -> None:
+        """Persist the current state: the base on the first commit, a journal
+        line holding the delta from the previous commit after that."""
+        if self.checkpoint_path is None:
+            return
+        data = self.to_checkpoint_dict()
+        state = _journal_index(data)
+        journal = journal_path(self.checkpoint_path)
+        if self._committed is None:
+            digest = save_checkpoint(data, self.checkpoint_path)
+            with journal.open("w", encoding="utf-8") as fh:
+                fh.write(_jsonl({"base": digest}))
+        else:
+            with journal.open("a", encoding="utf-8") as fh:
+                fh.write(_jsonl(_journal_delta(self._committed, state)))
+        self._committed = state
+
+    def _compact(self) -> None:
+        """Fold the journal into one full snapshot and remove it."""
+        if self.checkpoint_path is None:
+            return
+        save_checkpoint(self.to_checkpoint_dict(), self.checkpoint_path)
+        journal_path(self.checkpoint_path).unlink(missing_ok=True)
+        self._committed = None
 
     @classmethod
     def from_checkpoint(
@@ -380,29 +397,161 @@ class Crawler:
         crawler.probes_issued = int(counters.get("probes_issued", 0))
         crawler.probe_baseline = int(counters.get("probe_baseline", 0))
         crawler.rejections = list(data.get("rejections", []))
+        crawler._rewrite_rejection_file()
         return crawler
 
 
-def save_checkpoint(data: dict, path: str | Path) -> None:
-    """Atomic write: temp file in the target directory, then rename."""
+def _jsonl(record: dict) -> str:
+    return json.dumps(record, ensure_ascii=False) + "\n"
+
+
+def journal_path(path: str | Path) -> Path:
+    """Where the journal of the checkpoint at ``path`` lives."""
+    path = Path(path)
+    return path.with_name(path.name + ".journal")
+
+
+def _journal_index(data: dict) -> dict:
+    """The parts of a checkpoint dict that journal lines change, keyed by id."""
+    return {
+        "concepts": {rec["id"]: rec for rec in data["hierarchy"]["concepts"]},
+        "edges": {(c, p): origin for c, p, origin in data["edge_origins"]},
+        "discovered_from": dict(data["discovered_from"]),
+        "rejections": list(data["rejections"]),
+        "ledger": data["ledger"],
+        "counters": data["counters"],
+    }
+
+
+def _journal_delta(prev: dict, cur: dict) -> dict:
+    """The journal line that turns index ``prev`` into index ``cur``."""
+    old_concepts, old_edges = prev["concepts"], prev["edges"]
+    old_from = prev["discovered_from"]
+    return {
+        "concepts": [
+            rec for cid, rec in cur["concepts"].items() if old_concepts.get(cid) != rec
+        ],
+        "removed": [cid for cid in old_concepts if cid not in cur["concepts"]],
+        "edges": [
+            [c, p, origin]
+            for (c, p), origin in cur["edges"].items()
+            if (c, p) not in old_edges or old_edges[(c, p)] != origin
+        ],
+        "dropped": [[c, p] for c, p in old_edges if (c, p) not in cur["edges"]],
+        "discovered_from": {
+            k: v
+            for k, v in cur["discovered_from"].items()
+            if k not in old_from or old_from[k] != v
+        },
+        "rejections": cur["rejections"][len(prev["rejections"]):],
+        "ledger": cur["ledger"],
+        "counters": cur["counters"],
+    }
+
+
+def _journal_apply(state: dict, line: dict) -> None:
+    concepts, edges = state["concepts"], state["edges"]
+    for rec in line["concepts"]:
+        concepts[rec["id"]] = rec
+    for cid in line["removed"]:
+        del concepts[cid]
+    for c, p, origin in line["edges"]:
+        edges[(c, p)] = origin
+    for c, p in line["dropped"]:
+        del edges[(c, p)]
+    state["discovered_from"].update(line["discovered_from"])
+    state["rejections"].extend(line["rejections"])
+    state["ledger"], state["counters"] = line["ledger"], line["counters"]
+
+
+def _checkpoint_from_index(base: dict, state: dict) -> dict:
+    """The checkpoint dict of ``state``, in the order ``to_checkpoint_dict`` uses."""
+    concepts = state["concepts"]
+    ids = sorted(concepts)
+    edges = sorted(state["edges"].items())
+    return {
+        "version": base["version"],
+        "config": base["config"],
+        "hierarchy": {
+            **base["hierarchy"],
+            "concepts": [concepts[cid] for cid in ids],
+            "direct_edges": [[c, p] for (c, p), _ in edges],
+        },
+        "frontier": [cid for cid in ids if not concepts[cid]["explored"]],
+        "discovered_from": state["discovered_from"],
+        "edge_origins": [[c, p, origin] for (c, p), origin in edges],
+        "ledger": state["ledger"],
+        "counters": {**state["counters"], "rejections": len(state["rejections"])},
+        "rejections": state["rejections"],
+    }
+
+
+def _journal_lines(path: Path, base_digest: str) -> list[bytes]:
+    """The committed delta lines of the journal at ``path`` that extend the
+    base with SHA-256 ``base_digest``; none when it is missing or stale."""
+    try:
+        raw = path.read_bytes()
+    except FileNotFoundError:
+        return []
+    # The text after the last newline is empty or a torn, uncommitted line.
+    lines = raw.split(b"\n")[:-1]
+    if not lines:
+        return []
+    try:
+        named = json.loads(lines[0])["base"]
+    except (ValueError, KeyError, TypeError) as exc:
+        raise CheckpointError(f"journal {path} has a malformed header: {exc!r}") from exc
+    if named != base_digest:
+        logger.warning("ignoring journal %s: it extends a different base", path)
+        return []
+    return lines[1:]
+
+
+def save_checkpoint(data: dict, path: str | Path) -> str:
+    """Atomic write: temp file in the target directory, then rename.
+
+    Returns the SHA-256 of the bytes written, which a journal names as its base.
+    """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
+    raw = json.dumps(data, indent=2, ensure_ascii=False).encode("utf-8")
     fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            json.dump(data, fh, indent=2, ensure_ascii=False)
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(raw)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+    return hashlib.sha256(raw).hexdigest()
 
 
 def load_checkpoint(path: str | Path) -> dict:
+    """The checkpoint dict at ``path``, with its journal replayed onto it."""
     p = Path(path)
     if not p.exists():
         raise CheckpointError(f"checkpoint not found: {p}")
+    raw = p.read_bytes()
     try:
-        return json.loads(p.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+        data = json.loads(raw)
+    except ValueError as exc:
         raise CheckpointError(f"checkpoint is not valid JSON: {exc}") from exc
+    lines = _journal_lines(journal_path(p), hashlib.sha256(raw).hexdigest())
+    if not lines:
+        return data
+    try:
+        state = _journal_index(data)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CheckpointError(f"checkpoint base is malformed: {exc!r}") from exc
+    for number, line in enumerate(lines, start=2):
+        try:
+            _journal_apply(state, json.loads(line))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise CheckpointError(
+                f"journal line {number} is malformed: {exc!r}"
+            ) from exc
+    try:
+        return _checkpoint_from_index(data, state)
+    except (KeyError, TypeError) as exc:
+        raise CheckpointError(f"journal replay is malformed: {exc!r}") from exc

@@ -79,6 +79,10 @@ class QueryLog:
     record made inside the with-block (used to mark traversal phases).  Appends
     are locked so concurrent probes interleave without corruption; tag scopes
     themselves are managed by the single crawl thread.
+
+    With a ``path``, the file is truncated and then held open for appending,
+    line-buffered, so each record is in the file when ``record`` returns;
+    ``close`` releases it.
     """
 
     def __init__(self, path: str | Path | None = None):
@@ -86,17 +90,22 @@ class QueryLog:
         self.path = Path(path) if path is not None else None
         self._tags: dict[str, object] = {}
         self._lock = threading.Lock()
+        self._fh = None
         if self.path is not None:
             self.path.parent.mkdir(parents=True, exist_ok=True)
             self.path.write_text("", encoding="utf-8")
+            self._fh = self.path.open("a", encoding="utf-8", buffering=1)
 
     def record(self, **fields: object) -> None:
         rec = {**self._tags, **fields}
         with self._lock:
             self.records.append(rec)
-            if self.path is not None:
-                with self.path.open("a", encoding="utf-8") as fh:
-                    fh.write(json.dumps(rec, ensure_ascii=False) + "\n")
+            if self._fh is not None:
+                self._fh.write(json.dumps(rec, ensure_ascii=False) + "\n")
+
+    def close(self) -> None:
+        if self._fh is not None:
+            self._fh.close()
 
     @contextmanager
     def tagged(self, **tags: object):

@@ -104,12 +104,14 @@ def edge_names(crawler_or_hierarchy) -> set[tuple[str, str]]:
 
 
 class RaisingOracle:
-    """Delegates to an inner oracle, raising on a chosen operation."""
+    """Delegates to an inner oracle, raising on a chosen operation once the
+    first ``after`` calls of it have been answered."""
 
-    def __init__(self, inner, op_name: str, error: Exception):
+    def __init__(self, inner, op_name: str, error: BaseException, *, after: int = 0):
         self._inner = inner
         self._op_name = op_name
         self._error = error
+        self._after = after
         self.calls = 0
 
     def __getattr__(self, name):
@@ -119,7 +121,9 @@ class RaisingOracle:
 
         def boom(*args, **kwargs):
             self.calls += 1
-            raise self._error
+            if self.calls > self._after:
+                raise self._error
+            return attr(*args, **kwargs)
 
         return boom
 

@@ -59,6 +59,8 @@ def test_crawl_writes_every_output_file(finished_run):
         assert (finished_run / name).exists(), name
     # The mock backend keeps no completion cache.
     assert not (finished_run / "cache.jsonl").exists()
+    # The checkpoint journal lives only while the crawl runs.
+    assert not (finished_run / "checkpoint.json.journal").exists()
 
 
 def test_crawl_prints_a_summary(tmp_path, capsys):

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import json
+import random
 
+import daggen
 import pytest
 
 from ontocrawl import (
@@ -18,7 +20,7 @@ from ontocrawl import (
     OracleContext,
     QueryLog,
 )
-from ontocrawl.crawler import load_checkpoint
+from ontocrawl.crawler import journal_path, load_checkpoint, save_checkpoint
 from ontocrawl.errors import (
     CheckpointError,
     ConfigError,
@@ -284,16 +286,137 @@ def checkpointed_crawler(goats, tmp_path, name="run.json"):
     return make_mock_crawler(goats, checkpoint_path=tmp_path / name)
 
 
+NOISY = NoiseModel(rng_seed=1, p_attribute_inflation=0.3, p_wrong_relation=0.3)
+
+
+def random_taxonomy(seed: int = 9001) -> GroundTruthTaxonomy:
+    rng = random.Random(seed)
+    edges = daggen.random_dag(rng, rng.randint(10, 50), max_outdegree=5)
+    return GroundTruthTaxonomy.from_json_dict(daggen.to_fixture(edges))
+
+
 def test_checkpoint_file_mirrors_the_in_memory_state(goats, tmp_path):
-    crawler = checkpointed_crawler(goats, tmp_path)
-    for _ in range(3):
-        assert crawler.step()
-    on_disk = load_checkpoint(tmp_path / "run.json")
-    assert on_disk == crawler.to_checkpoint_dict()
-    assert on_disk["counters"]["explorations"] == 3
-    assert set(on_disk["frontier"]) == {
-        c.id for c in crawler.hierarchy.concepts() if not c.explored
+    crawls = {
+        "clean": make_mock_crawler(goats, checkpoint_path=tmp_path / "clean.json"),
+        "noisy": make_mock_crawler(
+            goats, noise=NOISY, checkpoint_path=tmp_path / "noisy.json"
+        ),
+        "dag": make_mock_crawler(
+            random_taxonomy(), checkpoint_path=tmp_path / "dag.json"
+        ),
     }
+    journaled: set[str] = set()
+    for name, crawler in crawls.items():
+        path = tmp_path / f"{name}.json"
+        steps = 0
+        while crawler.step():
+            steps += 1
+            on_disk = load_checkpoint(path)
+            assert on_disk == crawler.to_checkpoint_dict(), (name, steps)
+            assert on_disk["counters"]["explorations"] == steps
+            assert set(on_disk["frontier"]) == {
+                c.id for c in crawler.hierarchy.concepts() if not c.explored
+            }
+            # The base and its header line, then one line per later step.
+            lines = journal_path(path).read_bytes().splitlines()
+            assert len(lines) == steps
+        for line in lines[1:]:
+            journaled |= {key for key, value in json.loads(line).items() if value}
+    assert {"concepts", "edges", "dropped", "discovered_from", "rejections"} <= journaled
+
+
+def test_journal_replays_a_synonym_merge(goats, tmp_path):
+    crawler = checkpointed_crawler(goats, tmp_path)
+    for _ in range(2):
+        crawler.step()
+    h = crawler.hierarchy
+    saanen, toggenburg = h.find_by_name("Saanen"), h.find_by_name("Toggenburg")
+    h.merge_synonyms(saanen, toggenburg)
+    assert crawler.step()
+    assert load_checkpoint(tmp_path / "run.json") == crawler.to_checkpoint_dict()
+    last = json.loads(journal_path(tmp_path / "run.json").read_bytes().splitlines()[-1])
+    assert last["removed"] == [max(saanen, toggenburg)]
+
+
+def write_journaled_checkpoint(goats, tmp_path, steps: int) -> list[dict]:
+    """Crawl ``steps`` explorations; the checkpoint dict after each of them."""
+    crawler = checkpointed_crawler(goats, tmp_path)
+    states = []
+    for _ in range(steps):
+        assert crawler.step()
+        states.append(json.loads(json.dumps(crawler.to_checkpoint_dict())))
+    return states
+
+
+def test_journal_drops_a_torn_last_line(goats, tmp_path):
+    states = write_journaled_checkpoint(goats, tmp_path, 4)
+    journal = journal_path(tmp_path / "run.json")
+    raw = journal.read_bytes()
+    assert raw.endswith(b"\n")
+    last_start = raw.rstrip(b"\n").rfind(b"\n") + 1
+    for cut in (len(raw) - 1, (last_start + len(raw)) // 2, last_start + 1):
+        journal.write_bytes(raw[:cut])
+        assert load_checkpoint(tmp_path / "run.json") == states[2]
+    journal.write_bytes(raw[:last_start])
+    assert load_checkpoint(tmp_path / "run.json") == states[2]
+
+
+def test_journal_refuses_a_corrupt_interior_line(goats, tmp_path):
+    write_journaled_checkpoint(goats, tmp_path, 4)
+    journal = journal_path(tmp_path / "run.json")
+    lines = journal.read_bytes().splitlines(keepends=True)
+    for bad in (b"{oops\n", b"[1, 2]\n", b'{"concepts": []}\n'):
+        journal.write_bytes(b"".join([lines[0], lines[1], bad, *lines[3:]]))
+        with pytest.raises(CheckpointError, match="journal line 3"):
+            load_checkpoint(tmp_path / "run.json")
+    journal.write_bytes(b"not a header\n" + b"".join(lines[1:]))
+    with pytest.raises(CheckpointError, match="header"):
+        load_checkpoint(tmp_path / "run.json")
+
+
+def test_journal_of_a_replaced_base_is_ignored(goats, tmp_path):
+    states = write_journaled_checkpoint(goats, tmp_path, 3)
+    assert load_checkpoint(tmp_path / "run.json") == states[2]
+    # The base was written after the first step; any other snapshot replaces it.
+    save_checkpoint(states[1], tmp_path / "run.json")
+    assert journal_path(tmp_path / "run.json").exists()
+    assert load_checkpoint(tmp_path / "run.json") == states[1]
+
+
+def test_interrupt_mid_step_leaves_the_last_committed_step(goats, tmp_path):
+    path = tmp_path / "run.json"
+    ledger = CostLedger()
+    flaky = RaisingOracle(
+        MockOracle(goats, ledger=ledger),
+        "is_subcategory_of",
+        KeyboardInterrupt(),
+        after=55,
+    )
+    crawler = Crawler(
+        CrawlConfig(seed_name="Goats", oracle="mock:fixture"),
+        flaky,
+        ledger=ledger,
+        checkpoint_path=path,
+    )
+    with pytest.raises(KeyboardInterrupt):
+        while crawler.step():
+            committed = json.loads(json.dumps(crawler.to_checkpoint_dict()))
+    assert committed["counters"]["explorations"] == 3
+    assert journal_path(path).exists()
+    assert load_checkpoint(path) == committed
+
+    resumed = resume(goats, path)
+    resumed.run()
+    assert resumed.to_checkpoint_dict() == run_mock_crawl(goats).to_checkpoint_dict()
+
+
+def test_run_compacts_the_journal_into_the_checkpoint(goats, tmp_path):
+    crawler = checkpointed_crawler(goats, tmp_path)
+    crawler.run()
+    assert not journal_path(tmp_path / "run.json").exists()
+    text = (tmp_path / "run.json").read_text(encoding="utf-8")
+    assert json.loads(text) == crawler.to_checkpoint_dict()
+    assert text == json.dumps(crawler.to_checkpoint_dict(), indent=2, ensure_ascii=False)
 
 
 def resume(goats, path):
@@ -376,12 +499,48 @@ def test_transport_failure_checkpoints_and_aborts_resumably(goats, tmp_path):
         crawler.run()
     assert exc.value.checkpoint_path == str(path)
     assert path.exists()
+    assert not journal_path(path).exists()
+    assert json.loads(path.read_text(encoding="utf-8")) == crawler.to_checkpoint_dict()
 
     resumed = resume(goats, path)
     assert resumed.explorations == 0  # the failed step was not committed
     resumed.run()
     assert len(resumed.hierarchy) == 14
     assert edge_names(resumed.hierarchy) == {(c, p) for c, p in goats.edges}
+
+
+def test_resume_keeps_the_rejections_of_the_aborted_run(goats, tmp_path):
+    path, rej_path = tmp_path / "run.json", tmp_path / "rejected.jsonl"
+    flaky = RaisingOracle(
+        MockOracle(goats, NOISY),
+        "list_subconcepts",
+        TransportError("HTTP 503", status=503),
+        after=4,
+    )
+    crawler = Crawler(
+        CrawlConfig(seed_name="Goats", oracle="mock:fixture"),
+        flaky,
+        checkpoint_path=path,
+        rejection_path=rej_path,
+    )
+    with pytest.raises(CrawlAbortedError):
+        crawler.run()
+    assert crawler.rejections
+
+    data = load_checkpoint(path)
+    oracle = MockOracle(goats, NOISY)
+    resumed = Crawler.from_checkpoint(
+        data, oracle, checkpoint_path=path, rejection_path=rej_path
+    )
+    oracle.ledger = resumed.ledger
+    assert len(rej_path.read_text(encoding="utf-8").splitlines()) == len(
+        data["rejections"]
+    )
+    resumed.run()
+    lines = rej_path.read_text(encoding="utf-8").splitlines()
+    assert len(lines) == load_checkpoint(path)["counters"]["rejections"]
+    assert [json.loads(line) for line in lines] == resumed.rejections
+    assert len(resumed.rejections) > len(data["rejections"])
 
 
 def test_step_propagates_the_transport_error(goats, tmp_path):
