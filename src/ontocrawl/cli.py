@@ -21,6 +21,7 @@ from . import export as export_mod
 from .crawler import (  # noqa: F401
     Crawler,
     CrawlConfig,
+    hierarchy_from_checkpoint,
     load_checkpoint,
     save_checkpoint,
 )
@@ -260,11 +261,7 @@ def _cmd_export(args: argparse.Namespace) -> int:
 
 def _cmd_stats(args: argparse.Namespace) -> int:
     data = load_checkpoint(args.checkpoint)
-    h = ConceptHierarchy.from_json_dict(data.get("hierarchy", data))
-    current_edges = set(h.direct_edges())
-    for child, parent, origin in data.get("edge_origins", []):
-        if (child, parent) in current_edges:
-            h.set_edge_origin(child, parent, origin)
+    h = hierarchy_from_checkpoint(data)
     ledger = CostLedger.from_dict(data.get("ledger", {}))
     config = None
     if "config" in data:

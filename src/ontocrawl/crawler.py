@@ -196,20 +196,14 @@ class Crawler:
     def _context(
         self, parent_name: str | None, names: list[str | None]
     ) -> OracleContext:
-        descriptions: dict[str, str] = {}
+        """A context carrying the descriptions of the named known concepts."""
+        known: dict[str, str | None] = {}
         for name in names:
-            if not name:
-                continue
-            cid = self.hierarchy.find_by_name(name)
+            cid = self.hierarchy.find_by_name(name) if name else None
             if cid is not None:
-                desc = self.hierarchy.concept(cid).description
-                if desc:
-                    descriptions[name] = desc
-        return OracleContext(
-            seed_name=self.config.seed_name,
-            parent_name=parent_name,
-            descriptions=descriptions,
-        )
+                known[name] = self.hierarchy.concept(cid).description
+        ctx = OracleContext(seed_name=self.config.seed_name, parent_name=parent_name)
+        return ctx.with_descriptions(known)
 
     def _process_candidates(
         self, cid: int, c_name: str, candidates: list[str]
@@ -233,14 +227,13 @@ class Crawler:
         for cand in names:
             if self._at_capacity():
                 return
+            ctx = base_ctx.with_descriptions({cand: descriptions.get(cand)})
             existing = self.hierarchy.find_by_name(cand)
             if existing is not None:
-                ctx = self._candidate_ctx(base_ctx, cand, descriptions)
                 insertion.record_rediscovery(
                     self.hierarchy, self.oracle, ctx, existing, cid
                 )
                 continue
-            ctx = self._candidate_ctx(base_ctx, cand, descriptions)
             verdict = verify(self.oracle, ctx, cand, c_name)
             if not verdict.accepted:
                 self._reject(cand, c_name, verdict)
@@ -265,18 +258,6 @@ class Crawler:
             self.probe_baseline += placement.probes_issued + placement.probes_saved
             if placement.concept_id is not None:
                 self.discovered_from[placement.concept_id] = c_name
-
-    def _candidate_ctx(
-        self, base_ctx: OracleContext, cand: str, descriptions: dict[str, str]
-    ) -> OracleContext:
-        merged = dict(base_ctx.descriptions)
-        if descriptions.get(cand):
-            merged[cand] = descriptions[cand]
-        return OracleContext(
-            seed_name=base_ctx.seed_name,
-            parent_name=base_ctx.parent_name,
-            descriptions=merged,
-        )
 
     def _reject(self, name: str, parent: str, verdict) -> None:
         record = {
@@ -378,7 +359,7 @@ class Crawler:
             checkpoint_path=checkpoint_path,
             rejection_path=rejection_path,
         )
-        crawler.hierarchy = ConceptHierarchy.from_json_dict(data["hierarchy"])
+        crawler.hierarchy = hierarchy_from_checkpoint(data)
         stored_frontier = set(data.get("frontier", []))
         actual_frontier = {
             c.id for c in crawler.hierarchy.concepts() if not c.explored
@@ -388,10 +369,6 @@ class Crawler:
         crawler.discovered_from = {
             int(k): v for k, v in data.get("discovered_from", {}).items()
         }
-        current_edges = set(crawler.hierarchy.direct_edges())
-        for child, parent, origin in data.get("edge_origins", []):
-            if (child, parent) in current_edges:
-                crawler.hierarchy.set_edge_origin(child, parent, origin)
         counters = data.get("counters", {})
         crawler.explorations = int(counters.get("explorations", 0))
         crawler.probes_issued = int(counters.get("probes_issued", 0))
@@ -399,6 +376,17 @@ class Crawler:
         crawler.rejections = list(data.get("rejections", []))
         crawler._rewrite_rejection_file()
         return crawler
+
+
+def hierarchy_from_checkpoint(data: dict) -> ConceptHierarchy:
+    """The hierarchy of checkpoint ``data`` (or of a bare hierarchy document),
+    with the origins of its direct edges restored."""
+    h = ConceptHierarchy.from_json_dict(data.get("hierarchy", data))
+    current_edges = set(h.direct_edges())
+    for child, parent, origin in data.get("edge_origins", []):
+        if (child, parent) in current_edges:
+            h.set_edge_origin(child, parent, origin)
+    return h
 
 
 def _jsonl(record: dict) -> str:

@@ -9,6 +9,7 @@ from __future__ import annotations
 import json
 import logging
 import xml.etree.ElementTree as ET
+from dataclasses import fields
 from urllib.parse import quote
 
 from .crawler import CrawlConfig, CrawlStats
@@ -151,25 +152,15 @@ def compute_stats(
 
 
 def stats_to_json_dict(stats: CrawlStats) -> dict:
-    return {
-        "seed": stats.seed,
-        "exploration_depth": stats.exploration_depth,
-        "ft": stats.ft,
-        "n_concepts": stats.n_concepts,
-        "n_dismissed": stats.n_dismissed,
-        "n_subsumptions": stats.n_subsumptions,
-        "n_subsumptions_insertion": stats.n_subsumptions_insertion,
-        "prompts_per_concept": stats.prompts_per_concept,
-        "cost_dollars": stats.cost_dollars,
-        "concepts_at_or_below_cutoff": stats.concepts_at_or_below_cutoff,
-        "concepts_above_cutoff": stats.concepts_above_cutoff,
-        "depth_histogram": {str(k): v for k, v in stats.depth_histogram.items()},
-        "outdegree_histogram": {
-            str(k): v for k, v in stats.outdegree_histogram.items()
-        },
-        "max_outdegree": stats.max_outdegree,
-        "avg_outdegree": stats.avg_outdegree,
-    }
+    """Every ``CrawlStats`` field in declaration order; histogram keys become
+    strings, as JSON object keys must be."""
+    out: dict = {}
+    for f in fields(CrawlStats):
+        value = getattr(stats, f.name)
+        out[f.name] = (
+            {str(k): v for k, v in value.items()} if isinstance(value, dict) else value
+        )
+    return out
 
 
 _SUMMARY_COLUMNS = (

@@ -4,8 +4,13 @@ The persistent representation is the transitive reduction (direct edges,
 child -> parent).  The reflexive-transitive closure is derived state, kept
 incrementally up to date on every edge addition so that subsumption queries
 are O(1) set lookups.  Depth is the shortest edge distance from the seed in
-the reduction.  One concept may carry several names (a canonical name plus
-synonyms); name lookups are whitespace- and case-insensitive.
+the reduction.  An edge addition recomputes depths only over the child and
+its descendants, in topological order: every edge it adds or drops has its
+lower end there.  Depths can rise as well as fall, because the new edge can
+make a shorter direct edge redundant and drop it.  Synonym merges and loads
+rebuild closure and depths from scratch.  One concept may carry several names
+(a canonical name plus synonyms); name lookups are whitespace- and
+case-insensitive.
 
 Not thread safe: one writer at a time, readers must not overlap mutations.
 """
@@ -199,14 +204,19 @@ class ConceptHierarchy:
 
         # The new edge may make previously direct edges redundant; only edges
         # from the child's cone up into the parent's cone can be affected.
+        # Such an edge (u, v) is redundant when another parent of u reaches v.
         low = {child} | self._down[child]
         high = {parent} | self._up[parent]
-        for u, v in sorted(self._edge_origin):
-            if (u, v) == (child, parent) or u not in low or v not in high:
-                continue
-            if self._reachable_without(u, v):
-                self._drop_edge(u, v)
-        self._recompute_depths()
+        redundant = sorted(
+            (u, v)
+            for u in low
+            for v in self._parents[u] & high
+            if (u, v) != (child, parent)
+            and any(v in self._up[w] for w in self._parents[u] if w != v)
+        )
+        for u, v in redundant:
+            self._drop_edge(u, v)
+        self._recompute_cone_depths(child)
         return True
 
     def merge_synonyms(self, a: int, b: int) -> int:
@@ -509,6 +519,26 @@ class ConceptHierarchy:
             raise IntegrityError(f"concepts unreachable from the seed: {sorted(missing)}")
         for cid, d in depths.items():
             self._concepts[cid].depth = d
+
+    def _recompute_cone_depths(self, top: int) -> None:
+        """Recompute the depths of ``top`` and its descendants, parents first.
+
+        Every edge added or dropped since depths were last correct has its
+        child end inside this cone, so no depth outside it can have changed.
+        Only ``top`` has all its parents outside the cone.
+        """
+        cone = self._down[top] | {top}
+        waiting = {x: len(self._parents[x] & cone) for x in cone}
+        ready = [top]
+        while ready:
+            x = ready.pop()
+            self._concepts[x].depth = 1 + min(
+                self._concepts[p].depth for p in self._parents[x]
+            )
+            for ch in self._children[x]:
+                waiting[ch] -= 1
+                if not waiting[ch]:
+                    ready.append(ch)
 
     def _find_cycle(
         self, nodes: set[int], edges: dict[tuple[int, int], str | None]

@@ -12,8 +12,10 @@ interchangeability question, falling back to a direction question.
 
 from __future__ import annotations
 
+import contextlib
 import logging
 from dataclasses import dataclass, field
+from typing import Mapping
 
 from .errors import CycleError, OracleParseError
 from .hierarchy import ConceptHierarchy, normalize_name
@@ -47,97 +49,88 @@ class _ProbeSession:
         oracle: KnowledgeOracle,
         ctx: OracleContext,
         name: str,
-        query_log: QueryLog | None,
     ):
         self.h = h
         self.oracle = oracle
         self.ctx = ctx
         self.name = name
-        self.query_log = query_log
         self.issued = 0
 
-    def _ctx_for(self, other: str) -> OracleContext:
-        concept_id = self.h.find_by_name(other)
-        desc = None
-        if concept_id is not None:
-            desc = self.h.concept(concept_id).description
-        if not desc:
-            return self.ctx
-        merged = {**dict(self.ctx.descriptions), other: desc}
-        return OracleContext(
-            seed_name=self.ctx.seed_name,
-            parent_name=self.ctx.parent_name,
-            descriptions=merged,
-        )
+    def _probed(self, cid: int) -> tuple[OracleContext, str]:
+        """Count a probe of ``cid``: the context carrying its description,
+        and its name."""
+        other = self.h.concept(cid)
+        self.issued += 1
+        ctx = self.ctx.with_descriptions({other.canonical_name: other.description})
+        return ctx, other.canonical_name
 
     def probe_up(self, cid: int) -> bool:
         """Does the existing concept ``cid`` subsume the new one?"""
-        other = self.h.concept(cid).canonical_name
-        self.issued += 1
-        return self.oracle.is_subcategory_of(self._ctx_for(other), self.name, other)
+        ctx, other = self._probed(cid)
+        return self.oracle.is_subcategory_of(ctx, self.name, other)
 
     def probe_down(self, cid: int) -> bool:
         """Is the existing concept ``cid`` below the new one?"""
-        other = self.h.concept(cid).canonical_name
-        self.issued += 1
-        return self.oracle.is_subcategory_of(self._ctx_for(other), other, self.name)
+        ctx, other = self._probed(cid)
+        return self.oracle.is_subcategory_of(ctx, other, self.name)
+
+
+# The searches read the hierarchy's adjacency sets directly rather than
+# through the copies ``direct_parents``/``direct_children`` return: they sit
+# in the innermost loops and never mutate the hierarchy.
 
 
 def _decide_wave(
-    h: ConceptHierarchy,
     targets: set[int],
     status: dict[int, bool],
     probe,
-    neighbors_up,
-) -> int:
+    neighbors_up: Mapping[int, set[int]],
+) -> None:
     """Decide membership for ``targets`` (and any nodes they depend on).
 
     ``neighbors_up`` maps a node to the nodes whose positivity it requires
     (parents for the top search, children for the bottom search); a negative
     neighbor settles the node without a probe.  Probes for nodes that become
-    ready simultaneously are issued in id order.  Returns probes skipped.
+    ready simultaneously are issued in id order.
     """
-    saved = 0
     pending = {t for t in targets if t not in status}
     while pending:
         # A node's verdict may hinge on neighbors nobody has looked at yet.
         stack = list(pending)
         while stack:
             x = stack.pop()
-            for n in neighbors_up(x):
+            for n in neighbors_up[x]:
                 if n not in status and n not in pending:
                     pending.add(n)
                     stack.append(n)
         autos = [
             x
             for x in sorted(pending)
-            if any(status.get(n) is False for n in neighbors_up(x))
+            if any(status.get(n) is False for n in neighbors_up[x])
         ]
         if autos:
             for x in autos:
                 status[x] = False
-                saved += 1
                 pending.discard(x)
             continue
         ready = [
             x
             for x in sorted(pending)
-            if all(status.get(n) is True for n in neighbors_up(x))
+            if all(status.get(n) is True for n in neighbors_up[x])
         ]
         if not ready:
             raise AssertionError("traversal stalled; dependency graph is cyclic")
         for x in ready:
             status[x] = probe(x)
             pending.discard(x)
-    return saved
 
 
 def top_search(
     h: ConceptHierarchy,
     session: _ProbeSession,
     entry: int,
-) -> tuple[set[int], int]:
-    """Most specific existing concepts subsuming the new one, plus probes saved.
+) -> set[int]:
+    """Most specific existing concepts subsuming the new one.
 
     The seed, the discovering concept and all of its superconcepts are taken
     as subsumers without a query.
@@ -145,10 +138,6 @@ def top_search(
     status: dict[int, bool] = {h.seed_id: True, entry: True}
     for a in h.ancestors(entry):
         status[a] = True
-    saved = len(status)  # granted positives are skipped tests
-
-    def parents_of(x: int) -> set[int]:
-        return h.direct_parents(x)
 
     expanded: set[int] = set()
     while True:
@@ -159,55 +148,44 @@ def top_search(
             break
         for d in frontier:
             expanded.add(d)
-            kids = h.direct_children(d)
-            saved += _decide_wave(h, kids, status, session.probe_up, parents_of)
+            _decide_wave(h._children[d], status, session.probe_up, h._parents)
 
-    positives = {x for x, pos in status.items() if pos}
-    minimal = {
+    return {
         x
-        for x in positives
-        if not any(status.get(k) is True for k in h.direct_children(x))
+        for x, pos in status.items()
+        if pos and not any(status.get(k) is True for k in h._children[x])
     }
-    return minimal, saved
 
 
 def bottom_search(
     h: ConceptHierarchy,
     session: _ProbeSession,
     parents: set[int],
-) -> tuple[set[int], int]:
+) -> set[int]:
     """Most general existing concepts below the new one.
 
     Candidates are confined to the reflexive descendants of every found
     parent (anything else would contradict an accepted superconcept); the
     seed is never a candidate.  A concept is probed only once all of its
-    direct children tested positive, mirroring the top search.
+    direct children tested positive, mirroring the top search.  The region
+    is closed downward, so no probe ever depends on a concept outside it.
     """
     region: set[int] | None = None
     for p in parents:
-        cone = h.descendants(p) | {p}
+        cone = h._down[p] | {p}
         region = cone if region is None else (region & cone)
     region = (region or set()) - {h.seed_id}
     if not region:
-        return set(), 0
+        return set()
 
     status: dict[int, bool] = {}
-    for cid in h.ids():
-        if cid not in region:
-            status[cid] = False
+    _decide_wave(region, status, session.probe_down, h._children)
 
-    def children_of(x: int) -> set[int]:
-        return h.direct_children(x)
-
-    saved = _decide_wave(h, set(region), status, session.probe_down, children_of)
-
-    positives = {x for x in region if status.get(x) is True}
-    maximal = {
+    return {
         x
-        for x in positives
-        if not any(status.get(p) is True for p in h.direct_parents(x))
+        for x in region
+        if status[x] is True and not any(status.get(p) is True for p in h._parents[x])
     }
-    return maximal, saved
 
 
 def insert(
@@ -228,18 +206,17 @@ def insert(
     asks both directions for every existing concept).
     """
     pre_n = len(h)
-    session = _ProbeSession(h, oracle, ctx, name, query_log)
+    session = _ProbeSession(h, oracle, ctx, name)
 
-    if query_log is not None:
-        with query_log.tagged(phase="top"):
-            parents, _ = top_search(h, session, entry)
-    else:
-        parents, _ = top_search(h, session, entry)
-    if query_log is not None:
-        with query_log.tagged(phase="bottom"):
-            children, _ = bottom_search(h, session, parents)
-    else:
-        children, _ = bottom_search(h, session, parents)
+    def phase(label: str):
+        if query_log is None:
+            return contextlib.nullcontext()
+        return query_log.tagged(phase=label)
+
+    with phase("top"):
+        parents = top_search(h, session, entry)
+    with phase("bottom"):
+        children = bottom_search(h, session, parents)
 
     placement = Placement(probes_issued=session.issued)
 

@@ -196,7 +196,7 @@ def render(
             if not name or normalize_name(name) in seen:
                 continue
             seen.add(normalize_name(name))
-            desc = _lookup_description(ctx, name)
+            desc = ctx.description_of(name)
             if desc:
                 desc = desc.strip()
                 if not desc.endswith("."):
@@ -205,14 +205,6 @@ def render(
         if lines:
             prompt = prompt + "\n" + "\n".join(lines)
     return prompt
-
-
-def _lookup_description(ctx: OracleContext, name: str) -> str | None:
-    key = normalize_name(name)
-    for cand, text in ctx.descriptions.items():
-        if normalize_name(cand) == key and text:
-            return text
-    return None
 
 
 # ---------------------------------------------------------------------------

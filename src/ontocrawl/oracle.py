@@ -40,6 +40,28 @@ class OracleContext:
     parent_name: str | None = None
     descriptions: Mapping[str, str] = field(default_factory=dict)
 
+    def description_of(self, name: str) -> str | None:
+        """The first non-empty description filed under ``name`` (compared
+        normalized), or None."""
+        key = normalize_name(name)
+        for cand, text in self.descriptions.items():
+            if text and normalize_name(cand) == key:
+                return text
+        return None
+
+    def with_descriptions(self, named: Mapping[str, str | None]) -> "OracleContext":
+        """This context with the non-empty texts of ``named`` added in order.
+
+        A name already present keeps its position and takes the new text.
+        Prompts and cache keys depend on that order.
+        """
+        added = {name: text for name, text in named.items() if text}
+        if not added:
+            return self
+        return OracleContext(
+            self.seed_name, self.parent_name, {**self.descriptions, **added}
+        )
+
 
 @runtime_checkable
 class KnowledgeOracle(Protocol):
@@ -249,6 +271,15 @@ class GroundTruthTaxonomy:
                 stack.extend(self._parents.get(x, ()))
             self._up[key] = seen
 
+        # First spelling in fixture order wins, as a scan of the table would.
+        self._descriptions: dict[str, str] = {}
+        for name, text in self.descriptions.items():
+            self._descriptions.setdefault(normalize_name(name), text)
+        self._annotations: dict[str, list[str]] = {}
+        for table in (self.instances, self.parts):
+            for concept, vals in table.items():
+                self._annotations.setdefault(normalize_name(concept), []).extend(vals)
+
         self._instance_names = {
             normalize_name(n) for vals in self.instances.values() for n in vals
         }
@@ -298,19 +329,11 @@ class GroundTruthTaxonomy:
         return ka is not None and ka == kb
 
     def description_for(self, name: str) -> str | None:
-        for cand, text in self.descriptions.items():
-            if normalize_name(cand) == normalize_name(name):
-                return text
-        return None
+        return self._descriptions.get(normalize_name(name))
 
     def annotated_non_subcategories(self, name: str) -> list[str]:
         """Instance and part names recorded under ``name`` (listing pollution pool)."""
-        out: list[str] = []
-        for table in (self.instances, self.parts):
-            for concept, vals in table.items():
-                if normalize_name(concept) == normalize_name(name):
-                    out.extend(vals)
-        return sorted(out)
+        return sorted(self._annotations.get(normalize_name(name), ()))
 
     def is_instance_name(self, name: str) -> bool:
         return normalize_name(name) in self._instance_names

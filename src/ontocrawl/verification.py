@@ -103,7 +103,7 @@ def verify(oracle: KnowledgeOracle, ctx: OracleContext, d: str, c: str) -> Verdi
         return Verdict(REJECTED, reason=reason, transcript=transcript)
 
     # Steps 3-4: the name may be sloppy; ask for a better one, once.
-    description = _description_of(ctx, d)
+    description = ctx.description_of(d)
     try:
         new_name = oracle.rename_from_description(ctx, c, description or "")
     except OracleError as exc:
@@ -122,11 +122,3 @@ def verify(oracle: KnowledgeOracle, ctx: OracleContext, d: str, c: str) -> Verdi
     if reason2 is None:
         return Verdict(ACCEPTED_RENAMED, new_name=new_name, transcript=transcript)
     return Verdict(REJECTED, reason=reason2, transcript=transcript)
-
-
-def _description_of(ctx: OracleContext, d: str) -> str | None:
-    key = normalize_name(d)
-    for name, text in ctx.descriptions.items():
-        if normalize_name(name) == key and text:
-            return text
-    return None

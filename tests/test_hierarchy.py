@@ -101,6 +101,19 @@ def test_new_edge_displaces_previously_direct_edge():
     h.verify_integrity()
 
 
+def test_displacing_an_edge_deepens_the_child_and_its_cone():
+    # X < A drops the now redundant X < Seed: X and Y move down a level.
+    h = ConceptHierarchy("Seed")
+    x = h.add_concept("X", [h.seed_id])
+    y = h.add_concept("Y", [x])
+    a = h.add_concept("A", [h.seed_id])
+    assert (h.depth_of(x), h.depth_of(y)) == (1, 2)
+    assert h.add_subsumption(x, a) is True
+    assert h.direct_parents(x) == {a}
+    assert (h.depth_of(a), h.depth_of(x), h.depth_of(y)) == (1, 2, 3)
+    h.verify_integrity()
+
+
 def test_self_edge_raises_cycle_error():
     h = ConceptHierarchy("A")
     with pytest.raises(CycleError):
@@ -172,6 +185,34 @@ def test_reduction_matches_brute_force_after_random_edge_additions():
             asserted.append((a, b))
         assert set(h.direct_edges()) == daggen.reduce_edges(asserted)
         h.verify_integrity()
+
+
+def test_edge_additions_never_rescan_the_whole_graph(monkeypatch):
+    """A 2,000-node build keeps depths by local recomputation only; a full
+    depth BFS per edge would make every insertion O(N)."""
+    rng = random.Random(404)
+    n = 2000
+    edges = daggen.random_dag(rng, n)
+    parents: dict[int, list[int]] = {}
+    for c, p in edges:
+        parents.setdefault(c, []).append(p)
+    calls = []
+    full_bfs = ConceptHierarchy._depths_by_bfs
+
+    def counted(self):
+        calls.append(len(self))
+        return full_bfs(self)
+
+    monkeypatch.setattr(ConceptHierarchy, "_depths_by_bfs", counted)
+    h = ConceptHierarchy(daggen.name_for(0))
+    for i in range(1, n):
+        first, *rest = sorted(parents[i])
+        h.add_concept(daggen.name_for(i), [first])
+        for p in rest:
+            h.add_subsumption(i, p)
+    assert calls == []
+    expected = daggen.bfs_depths(edges)
+    assert all(h.depth_of(cid) == expected[cid] for cid in h.ids())
 
 
 def test_merge_collapses_two_names_into_one_concept():

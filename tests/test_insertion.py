@@ -2,12 +2,17 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
+import random
+
 import pytest
 
 from ontocrawl import (
     ConceptHierarchy,
     GroundTruthTaxonomy,
     MockOracle,
+    NoiseModel,
     OracleContext,
     QueryLog,
     insert,
@@ -15,7 +20,8 @@ from ontocrawl import (
 )
 from ontocrawl.errors import OracleParseError
 from ontocrawl.insertion import ORIGIN_INSERTION, ORIGIN_LISTING
-from support import edge_names, hierarchy_from_taxonomy
+import daggen
+from support import edge_names, hierarchy_from_taxonomy, run_mock_crawl
 
 FARM = GroundTruthTaxonomy.from_json_dict(
     {
@@ -321,3 +327,28 @@ def test_probes_carry_the_existing_concepts_description(goats):
     probe_ctx = probed[0][0]
     assert probe_ctx.descriptions["Dairy Goats"] == goats.description_for("Dairy Goats")
     assert probe_ctx.descriptions["Boer"] == goats.description_for("Boer")
+
+
+def test_noisy_crawl_issues_the_pinned_query_stream():
+    """Optimizations of the hierarchy and the traversal keep every query.
+
+    The digest covers (op, d, c) of every query-log record of a noisy n=300
+    crawl, as recorded before depths and redundant edges were maintained
+    locally; any change to which probes the traversal issues, or when, shows
+    up here even where the resulting hierarchy is unchanged.
+    """
+    edges = daggen.random_dag(random.Random(300), 300, max_outdegree=5)
+    taxonomy = GroundTruthTaxonomy.from_json_dict(daggen.to_fixture(edges))
+    noise = NoiseModel(
+        rng_seed=3,
+        p_hallucinated_edge=0.02,
+        p_missing_edge=0.1,
+        p_wrong_relation=0.2,
+        p_attribute_inflation=0.2,
+        p_nontransitive_denial=0.2,
+    )
+    crawler = run_mock_crawl(taxonomy, noise=noise)
+    stream = [[r["op"], r.get("d"), r.get("c")] for r in crawler.query_log.records]
+    assert len(stream) == 6304
+    digest = hashlib.sha256(json.dumps(stream).encode("utf-8")).hexdigest()
+    assert digest == "ab985fe74e8a9b6d6d87ee1aedb1fadee11e63a74b3bc3221fbfabf47c25ff06"

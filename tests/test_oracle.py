@@ -350,6 +350,22 @@ def test_describe_uses_fixture_text_and_falls_back(goats):
     assert out["Unknown Breed"] == "A kind of Goats."
 
 
+def test_name_lookups_match_case_variants_in_fixture_order():
+    tax = GroundTruthTaxonomy.from_json_dict(
+        {
+            "root": "Goats",
+            "edges": [["Boer", "Goats"]],
+            "descriptions": {"boer": "first text", " BOER": "second text"},
+            "instances": {"Boer": ["Billy"], "BOER": ["Nanny"]},
+            "parts": {"boer ": ["Horn"]},
+        }
+    )
+    assert tax.description_for("Boer") == "first text"
+    assert tax.description_for("Saanen") is None
+    assert tax.annotated_non_subcategories("  boer") == ["Billy", "Horn", "Nanny"]
+    assert tax.annotated_non_subcategories("Goats") == []
+
+
 def test_renames_are_keyed_by_description_text(goats):
     desc = goats.descriptions["Nigerian Dwarf"]
     oracle = MockOracle(goats, renames={desc: "Nigerian Dwarf"})
