@@ -9,14 +9,19 @@ unrecoverable oracle failure aborts the run resumably.
 Every exploration commits to the checkpoint.  The first commit writes the
 full snapshot (the base); each later one appends one JSON line to a journal
 beside it (``<checkpoint>.journal``) holding the delta from the previous
-commit.  ``run()`` compacts the journal into the snapshot when it ends, so
-the journal exists only mid-run; ``load_checkpoint`` replays a journal left
-behind by an interrupted run onto its base.
+commit.  The delta is built from the hierarchy's change set (the concepts and
+edges its mutations marked since the last commit) and the ``discovered_from``
+entries and rejections added since, each compared with the committed state,
+so a commit costs what the step changed, not the size of the hierarchy.
+``run()`` compacts the journal into the snapshot when it ends, so the journal
+exists only mid-run; ``load_checkpoint`` replays a journal left behind by an
+interrupted run onto its base.
 """
 
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import logging
 import os
@@ -297,13 +302,16 @@ class Crawler:
                 for child, parent in self.hierarchy.direct_edges()
             ],
             "ledger": self.ledger.to_dict(),
-            "counters": {
-                "explorations": self.explorations,
-                "rejections": len(self.rejections),
-                "probes_issued": self.probes_issued,
-                "probe_baseline": self.probe_baseline,
-            },
+            "counters": self._counters(),
             "rejections": self.rejections,
+        }
+
+    def _counters(self) -> dict:
+        return {
+            "explorations": self.explorations,
+            "rejections": len(self.rejections),
+            "probes_issued": self.probes_issued,
+            "probe_baseline": self.probe_baseline,
         }
 
     def _commit(self) -> None:
@@ -311,17 +319,56 @@ class Crawler:
         line holding the delta from the previous commit after that."""
         if self.checkpoint_path is None:
             return
-        data = self.to_checkpoint_dict()
-        state = _journal_index(data)
         journal = journal_path(self.checkpoint_path)
         if self._committed is None:
+            data = self.to_checkpoint_dict()
+            self.hierarchy.take_changes()  # the base holds them all
             digest = save_checkpoint(data, self.checkpoint_path)
             with journal.open("w", encoding="utf-8") as fh:
                 fh.write(_jsonl({"base": digest}))
-        else:
-            with journal.open("a", encoding="utf-8") as fh:
-                fh.write(_jsonl(_journal_delta(self._committed, state)))
-        self._committed = state
+            self._committed = _journal_index(data)
+            return
+        line = self._journal_line()
+        with journal.open("a", encoding="utf-8") as fh:
+            fh.write(_jsonl(line))
+        _journal_apply(self._committed, line)
+
+    def _journal_line(self) -> dict:
+        """The delta from the committed index to the current state, read from
+        the records marked or added since the last commit."""
+        h = self.hierarchy
+        ids, edges = h.take_changes()
+        old_concepts, old_edges = self._committed["concepts"], self._committed["edges"]
+        concepts, removed = [], []
+        for cid in sorted(ids):
+            if cid in h:
+                rec = h.concept_record(cid)
+                if old_concepts.get(cid) != rec:
+                    concepts.append(rec)
+            elif cid in old_concepts:
+                removed.append(cid)
+        added, dropped = [], []
+        for c, p in sorted(edges):
+            if h.has_edge(c, p):
+                origin = h.edge_origin(c, p)
+                if (c, p) not in old_edges or old_edges[(c, p)] != origin:
+                    added.append([c, p, origin])
+            elif (c, p) in old_edges:
+                dropped.append([c, p])
+        # Entries are only ever added to ``discovered_from``, so the new ones
+        # are its tail.
+        fresh = len(self.discovered_from) - len(self._committed["discovered_from"])
+        tail = itertools.islice(reversed(self.discovered_from.items()), fresh)
+        return {
+            "concepts": concepts,
+            "removed": removed,
+            "edges": added,
+            "dropped": dropped,
+            "discovered_from": {str(k): v for k, v in reversed(list(tail))},
+            "rejections": self.rejections[len(self._committed["rejections"]):],
+            "ledger": self.ledger.to_dict(),
+            "counters": self._counters(),
+        }
 
     def _compact(self) -> None:
         """Fold the journal into one full snapshot and remove it."""
@@ -408,32 +455,6 @@ def _journal_index(data: dict) -> dict:
         "rejections": list(data["rejections"]),
         "ledger": data["ledger"],
         "counters": data["counters"],
-    }
-
-
-def _journal_delta(prev: dict, cur: dict) -> dict:
-    """The journal line that turns index ``prev`` into index ``cur``."""
-    old_concepts, old_edges = prev["concepts"], prev["edges"]
-    old_from = prev["discovered_from"]
-    return {
-        "concepts": [
-            rec for cid, rec in cur["concepts"].items() if old_concepts.get(cid) != rec
-        ],
-        "removed": [cid for cid in old_concepts if cid not in cur["concepts"]],
-        "edges": [
-            [c, p, origin]
-            for (c, p), origin in cur["edges"].items()
-            if (c, p) not in old_edges or old_edges[(c, p)] != origin
-        ],
-        "dropped": [[c, p] for c, p in old_edges if (c, p) not in cur["edges"]],
-        "discovered_from": {
-            k: v
-            for k, v in cur["discovered_from"].items()
-            if k not in old_from or old_from[k] != v
-        },
-        "rejections": cur["rejections"][len(prev["rejections"]):],
-        "ledger": cur["ledger"],
-        "counters": cur["counters"],
     }
 
 

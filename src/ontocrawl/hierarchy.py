@@ -12,6 +12,14 @@ rebuild closure and depths from scratch.  One concept may carry several names
 (a canonical name plus synonyms); name lookups are whitespace- and
 case-insensitive.
 
+Every mutation marks what it touched in a change set: the concept ids whose
+record (``concept_record``) may differ, and the direct edges that may have
+appeared, vanished or changed origin.  A marked record or edge need not have
+changed, but every change is marked; only a depth recompute filters, marking
+just the depths that moved.  ``take_changes`` hands the set to its one
+consumer, the crawler's checkpoint journal, and clears it.  Nothing else
+drains it, and it never holds more than the ids and edges ever created.
+
 Not thread safe: one writer at a time, readers must not overlap mutations.
 """
 
@@ -70,6 +78,8 @@ class ConceptHierarchy:
         self._down: dict[int, set[int]] = {}
         self._edge_origin: dict[tuple[int, int], str | None] = {}
         self._names: dict[str, int] = {}
+        self._changed_ids: set[int] = set()
+        self._changed_edges: set[tuple[int, int]] = set()
         self._next_id = 0
         self.seed_id = self._register(seed_name, description=None)
 
@@ -118,6 +128,10 @@ class ConceptHierarchy:
         """All reduction edges as (child, parent), sorted."""
         return sorted(self._edge_origin)
 
+    def has_edge(self, child: int, parent: int) -> bool:
+        """Is (child, parent) a direct edge of the reduction?"""
+        return (child, parent) in self._edge_origin
+
     def edge_origin(self, child: int, parent: int) -> str | None:
         return self._edge_origin.get((child, parent))
 
@@ -125,6 +139,7 @@ class ConceptHierarchy:
         if (child, parent) not in self._edge_origin:
             raise NotFoundError(f"no direct edge {(child, parent)}")
         self._edge_origin[(child, parent)] = origin
+        self._changed_edges.add((child, parent))
 
     def is_subsumed(self, c: int, d: int) -> bool:
         """Reflexive closure query: is c at or below d?"""
@@ -169,6 +184,12 @@ class ConceptHierarchy:
         key = self._check_new_name(name)
         self._concepts[cid].synonym_names.add(name.strip())
         self._names[key] = cid
+        self._changed_ids.add(cid)
+
+    def set_description(self, cid: int, description: str | None) -> None:
+        self._require(cid)
+        self._concepts[cid].description = description
+        self._changed_ids.add(cid)
 
     def add_subsumption(self, child: int, parent: int, *, origin: str | None = None) -> bool:
         """Assert child below parent.
@@ -194,6 +215,7 @@ class ConceptHierarchy:
         self._parents[child].add(parent)
         self._children[parent].add(child)
         self._edge_origin[(child, parent)] = origin
+        self._changed_edges.add((child, parent))
 
         gained_up = {parent} | self._up[parent]
         for x in (child, *self._down[child]):
@@ -256,6 +278,7 @@ class ConceptHierarchy:
             if cid == loser:
                 self._names[key] = survivor
         del self._concepts[loser]
+        self._changed_ids.add(loser)
 
         self._rebuild_from_edges(merged_edges)
         return survivor
@@ -263,6 +286,7 @@ class ConceptHierarchy:
     def mark_explored(self, cid: int) -> None:
         self._require(cid)
         self._concepts[cid].explored = True
+        self._changed_ids.add(cid)
 
     def next_unexplored(self, exploration_depth: int | None = None) -> int | None:
         """Breadth-first frontier choice: shallowest unexplored concept strictly
@@ -278,24 +302,33 @@ class ConceptHierarchy:
                 best = key
         return None if best is None else best[1]
 
+    def take_changes(self) -> tuple[set[int], set[tuple[int, int]]]:
+        """The concept ids and direct edges marked since the last call, which
+        clears them.  An id or edge may since have been removed."""
+        changes = self._changed_ids, self._changed_edges
+        self._changed_ids, self._changed_edges = set(), set()
+        return changes
+
     # ------------------------------------------------------------------
     # serialization
+
+    def concept_record(self, cid: int) -> dict:
+        """The serialized form of one concept, as ``to_json_dict`` lists it."""
+        c = self.concept(cid)
+        return {
+            "id": c.id,
+            "canonical_name": c.canonical_name,
+            "synonyms": sorted(c.synonym_names),
+            "description": c.description,
+            "explored": c.explored,
+            "depth": c.depth,
+        }
 
     def to_json_dict(self) -> dict:
         return {
             "version": CHECKPOINT_VERSION,
             "seed": self.seed_id,
-            "concepts": [
-                {
-                    "id": c.id,
-                    "canonical_name": c.canonical_name,
-                    "synonyms": sorted(c.synonym_names),
-                    "description": c.description,
-                    "explored": c.explored,
-                    "depth": c.depth,
-                }
-                for c in self.concepts()
-            ],
+            "concepts": [self.concept_record(cid) for cid in self.ids()],
             "direct_edges": [list(e) for e in self.direct_edges()],
         }
 
@@ -415,6 +448,7 @@ class ConceptHierarchy:
         self._up[cid] = set()
         self._down[cid] = set()
         self._names[key] = cid
+        self._changed_ids.add(cid)
         return cid
 
     def _unregister(self, cid: int) -> None:
@@ -423,6 +457,8 @@ class ConceptHierarchy:
         for p in self._parents[cid]:
             self._children[p].discard(cid)
             self._edge_origin.pop((cid, p), None)
+            self._changed_edges.add((cid, p))
+        self._changed_ids.add(cid)
         del self._concepts[cid], self._parents[cid], self._children[cid]
         del self._up[cid], self._down[cid]
 
@@ -480,6 +516,7 @@ class ConceptHierarchy:
         self._parents[u].discard(v)
         self._children[v].discard(u)
         self._edge_origin.pop((u, v), None)
+        self._changed_edges.add((u, v))
 
     def _closure_by_bfs(
         self, parents: dict[int, set[int]]
@@ -532,9 +569,10 @@ class ConceptHierarchy:
         ready = [top]
         while ready:
             x = ready.pop()
-            self._concepts[x].depth = 1 + min(
-                self._concepts[p].depth for p in self._parents[x]
-            )
+            depth = 1 + min(self._concepts[p].depth for p in self._parents[x])
+            if self._concepts[x].depth != depth:
+                self._concepts[x].depth = depth
+                self._changed_ids.add(x)
             for ch in self._children[x]:
                 waiting[ch] -= 1
                 if not waiting[ch]:
@@ -582,6 +620,8 @@ class ConceptHierarchy:
         self, edges: dict[tuple[int, int], str | None], *, reduce: bool = True
     ) -> None:
         """Replace adjacency with ``edges``, recompute closure/depths, re-minimize."""
+        self._changed_ids |= self._concepts.keys()
+        self._changed_edges |= self._edge_origin.keys() | edges.keys()
         for cid in self._concepts:
             self._parents[cid] = set()
             self._children[cid] = set()

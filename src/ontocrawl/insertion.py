@@ -288,7 +288,7 @@ def _absorb(
         h.add_synonym_name(target, name)
     concept = h.concept(target)
     if description and not concept.description:
-        concept.description = description
+        h.set_description(target, description)
     for p in sorted(parents - {target}):
         try:
             h.add_subsumption(target, p, origin=ORIGIN_INSERTION)

@@ -398,6 +398,7 @@ class MockOracle:
         self.renames = {k.strip(): v for k, v in (renames or {}).items()}
         self.query_log = query_log
         self.ledger = ledger
+        self._ledger_lock = threading.Lock()
 
     # -- plumbing ---------------------------------------------------------
 
@@ -411,7 +412,8 @@ class MockOracle:
 
     def _done(self, op: str, answer: object, **args: object) -> None:
         if self.ledger is not None:
-            self.ledger.add()
+            with self._ledger_lock:
+                self.ledger.add()
         if self.query_log is not None:
             self.query_log.record(op=op, **args, answer=answer)
 

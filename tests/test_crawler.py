@@ -20,7 +20,12 @@ from ontocrawl import (
     OracleContext,
     QueryLog,
 )
-from ontocrawl.crawler import journal_path, load_checkpoint, save_checkpoint
+from ontocrawl.crawler import (
+    _journal_index,
+    journal_path,
+    load_checkpoint,
+    save_checkpoint,
+)
 from ontocrawl.errors import (
     CheckpointError,
     ConfigError,
@@ -336,6 +341,163 @@ def test_journal_replays_a_synonym_merge(goats, tmp_path):
     assert load_checkpoint(tmp_path / "run.json") == crawler.to_checkpoint_dict()
     last = json.loads(journal_path(tmp_path / "run.json").read_bytes().splitlines()[-1])
     assert last["removed"] == [max(saanen, toggenburg)]
+
+
+def _journal_delta(prev: dict, cur: dict) -> dict:
+    """Reference journal line: the delta that turns index ``prev`` into index
+    ``cur``, found by comparing every record of the two."""
+    old_concepts, old_edges = prev["concepts"], prev["edges"]
+    old_from = prev["discovered_from"]
+    return {
+        "concepts": [
+            rec for cid, rec in cur["concepts"].items() if old_concepts.get(cid) != rec
+        ],
+        "removed": [cid for cid in old_concepts if cid not in cur["concepts"]],
+        "edges": [
+            [c, p, origin]
+            for (c, p), origin in cur["edges"].items()
+            if (c, p) not in old_edges or old_edges[(c, p)] != origin
+        ],
+        "dropped": [[c, p] for c, p in old_edges if (c, p) not in cur["edges"]],
+        "discovered_from": {
+            k: v
+            for k, v in cur["discovered_from"].items()
+            if k not in old_from or old_from[k] != v
+        },
+        "rejections": cur["rejections"][len(prev["rejections"]):],
+        "ledger": cur["ledger"],
+        "counters": cur["counters"],
+    }
+
+
+def crawl_checking_journal_lines(crawler, before_step=lambda step: None) -> list[dict]:
+    """Crawl to the end; every journal line must equal, byte for byte, the
+    reference delta between the checkpoint dicts of consecutive steps."""
+    journal = journal_path(crawler.checkpoint_path)
+    lines, prev, steps = [], None, 0
+    while True:
+        before_step(steps)
+        if not crawler.step():
+            return lines
+        steps += 1
+        cur = _journal_index(crawler.to_checkpoint_dict())
+        if prev is not None:
+            expected = _journal_delta(prev, cur)
+            written = journal.read_bytes().splitlines(keepends=True)[-1]
+            assert written == (
+                json.dumps(expected, ensure_ascii=False) + "\n"
+            ).encode("utf-8"), steps
+            lines.append(expected)
+        prev = cur
+
+
+DAIRY = GroundTruthTaxonomy.from_json_dict(
+    {
+        "root": "Livestock",
+        "edges": [
+            ["Goats", "Livestock"],
+            ["Dairy Animals", "Livestock"],
+            ["Dairy Goats", "Goats"],
+            ["Milk Goats", "Dairy Animals"],
+        ],
+        "synonyms": [["Milk Goats", "Dairy Goats"]],
+        "descriptions": {"Milk Goats": "Goats kept for their milk."},
+    }
+)
+
+
+class UndescribedDairyGoats(MockOracle):
+    """Describes every name but Dairy Goats, which enters without a text."""
+
+    def describe(self, ctx, names):
+        described = super().describe(ctx, names)
+        return {n: text for n, text in described.items() if n != "Dairy Goats"}
+
+
+def test_each_journal_line_is_the_delta_between_consecutive_states(goats, tmp_path):
+    dag_edges = daggen.random_dag(random.Random(120), 120, max_outdegree=5)
+    noisy_dag = make_mock_crawler(
+        GroundTruthTaxonomy.from_json_dict(daggen.to_fixture(dag_edges)),
+        noise=NoiseModel(
+            rng_seed=3,
+            p_hallucinated_edge=0.02,
+            p_missing_edge=0.1,
+            p_wrong_relation=0.2,
+            p_attribute_inflation=0.2,
+            p_nontransitive_denial=0.2,
+        ),
+        checkpoint_path=tmp_path / "dag.json",
+    )
+    merged = checkpointed_crawler(goats, tmp_path, "merge.json")
+    pair = []
+
+    def merge_after_two_steps(steps):
+        h = merged.hierarchy
+        if steps == 2:
+            pair.extend([h.find_by_name("Saanen"), h.find_by_name("Toggenburg")])
+            h.merge_synonyms(*pair)
+
+    absorbed = Crawler(
+        CrawlConfig(seed_name="Livestock", oracle="mock:fixture"),
+        UndescribedDairyGoats(DAIRY),
+        checkpoint_path=tmp_path / "absorb.json",
+    )
+    written = {
+        "clean": crawl_checking_journal_lines(checkpointed_crawler(goats, tmp_path)),
+        "noisy": crawl_checking_journal_lines(
+            make_mock_crawler(
+                goats, noise=NOISY, checkpoint_path=tmp_path / "noisy.json"
+            )
+        ),
+        "dag": crawl_checking_journal_lines(noisy_dag),
+        "merge": crawl_checking_journal_lines(merged, merge_after_two_steps),
+        "absorb": crawl_checking_journal_lines(absorbed),
+    }
+    assert [line["removed"] for line in written["merge"] if line["removed"]] == [
+        [max(pair)]
+    ]
+    # Dairy Goats was committed without a description; Milk Goats, found a
+    # step later, is absorbed into it and brings one.
+    dairy = absorbed.hierarchy.find_by_name("Dairy Goats")
+    assert absorbed.hierarchy.find_by_name("Milk Goats") == dairy
+    descriptions = [
+        rec["description"]
+        for line in written["absorb"]
+        for rec in line["concepts"]
+        if rec["id"] == dairy
+    ]
+    assert descriptions[:2] == [None, "Goats kept for their milk."]
+    journaled = {
+        key
+        for lines in written.values()
+        for line in lines
+        for key, value in line.items()
+        if value
+    }
+    assert {
+        "concepts", "removed", "edges", "dropped", "discovered_from", "rejections"
+    } <= journaled
+
+
+def test_commits_never_rebuild_the_whole_checkpoint(tmp_path, monkeypatch):
+    """Only the base and the compaction serialize the whole state; a step's
+    journal line is read from what the step changed."""
+    edges = daggen.random_dag(random.Random(300), 300, max_outdegree=5)
+    crawler = make_mock_crawler(
+        GroundTruthTaxonomy.from_json_dict(daggen.to_fixture(edges)),
+        checkpoint_path=tmp_path / "run.json",
+    )
+    rebuilt_at: list[int] = []
+    whole = Crawler.to_checkpoint_dict
+
+    def counted(self):
+        rebuilt_at.append(self.explorations)
+        return whole(self)
+
+    monkeypatch.setattr(Crawler, "to_checkpoint_dict", counted)
+    crawler.run()
+    assert crawler.explorations == 300
+    assert rebuilt_at == [1, 300]
 
 
 def write_journaled_checkpoint(goats, tmp_path, steps: int) -> list[dict]:

@@ -5,6 +5,8 @@ from __future__ import annotations
 import itertools
 import json
 import random
+import sys
+import threading
 
 import pytest
 
@@ -320,6 +322,31 @@ def test_every_operation_logs_once_and_ticks_the_ledger(goats):
     assert log.count(op="is_subcategory_of", d="Saanen", c="Goats") == 1
 
 
+def test_concurrent_probes_lose_no_ledger_tick(goats):
+    ledger = CostLedger()
+    oracle, ctx = mk(goats, ledger=ledger)
+    threads = [
+        threading.Thread(
+            target=lambda: [
+                oracle.is_subcategory_of(ctx, "Saanen", "Dairy Goats")
+                for _ in range(500)
+            ]
+        )
+        for _ in range(8)
+    ]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert ledger.requests == 8 * 500
+
+
 def test_query_log_tags_scope_and_restore(goats):
     log = QueryLog()
     oracle, ctx = mk(goats, query_log=log)
@@ -336,11 +363,14 @@ def test_query_log_tags_scope_and_restore(goats):
 def test_query_log_persists_jsonl(goats, tmp_path):
     path = tmp_path / "log" / "queries.jsonl"
     log = QueryLog(path)
-    oracle, ctx = mk(goats, query_log=log)
-    oracle.has_subconcepts(ctx, "Goats")
-    oracle.under_seed(ctx, "Boer")
-    lines = path.read_text(encoding="utf-8").splitlines()
-    assert [json.loads(line) for line in lines] == log.records
+    try:
+        oracle, ctx = mk(goats, query_log=log)
+        oracle.has_subconcepts(ctx, "Goats")
+        oracle.under_seed(ctx, "Boer")
+        lines = path.read_text(encoding="utf-8").splitlines()
+        assert [json.loads(line) for line in lines] == log.records
+    finally:
+        log.close()
 
 
 def test_describe_uses_fixture_text_and_falls_back(goats):
