@@ -316,8 +316,11 @@ class Crawler:
 
     def _commit(self) -> None:
         """Persist the current state: the base on the first commit, a journal
-        line holding the delta from the previous commit after that."""
+        line holding the delta from the previous commit after that.  Without
+        a checkpoint there is nothing to persist, but the change set is still
+        drained so that it stays as small as one step's changes."""
         if self.checkpoint_path is None:
+            self.hierarchy.take_changes()
             return
         journal = journal_path(self.checkpoint_path)
         if self._committed is None:

@@ -17,8 +17,9 @@ record (``concept_record``) may differ, and the direct edges that may have
 appeared, vanished or changed origin.  A marked record or edge need not have
 changed, but every change is marked; only a depth recompute filters, marking
 just the depths that moved.  ``take_changes`` hands the set to its one
-consumer, the crawler's checkpoint journal, and clears it.  Nothing else
-drains it, and it never holds more than the ids and edges ever created.
+consumer, the crawler, and clears it.  The crawler drains it after every
+exploration, into the checkpoint journal when it keeps one, so the set holds
+one step's changes.
 
 Not thread safe: one writer at a time, readers must not overlap mutations.
 """

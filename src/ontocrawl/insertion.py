@@ -8,6 +8,12 @@ free (imposed transitivity) and are never re-verified.  The bottom search is
 symmetric and runs only inside the region below all found parents.  A concept
 appearing on both sides is a synonym candidate and is resolved by an
 interchangeability question, falling back to a direction question.
+
+Probes that become ready together do not depend on each other's answers, so
+each such set is issued as one batch: an oracle with ``are_subcategories``
+may send its questions concurrently, any other oracle answers them one by one
+in id order.  The answers are applied in id order on the calling thread, which
+alone reads and mutates the hierarchy.
 """
 
 from __future__ import annotations
@@ -41,7 +47,11 @@ class Placement:
 
 
 class _ProbeSession:
-    """Counts probes and injects the probed concept's description per query."""
+    """Counts probes and injects the probed concept's description per query.
+
+    ``probe_up`` and ``probe_down`` take a batch of concept ids and return
+    their answers in the same order.
+    """
 
     def __init__(
         self,
@@ -64,15 +74,21 @@ class _ProbeSession:
         ctx = self.ctx.with_descriptions({other.canonical_name: other.description})
         return ctx, other.canonical_name
 
-    def probe_up(self, cid: int) -> bool:
-        """Does the existing concept ``cid`` subsume the new one?"""
-        ctx, other = self._probed(cid)
-        return self.oracle.is_subcategory_of(ctx, self.name, other)
+    def _ask(self, questions: list[tuple[OracleContext, str, str]]) -> list[bool]:
+        batch = getattr(self.oracle, "are_subcategories", None)
+        if batch is None:
+            return [self.oracle.is_subcategory_of(*q) for q in questions]
+        return batch(questions)
 
-    def probe_down(self, cid: int) -> bool:
-        """Is the existing concept ``cid`` below the new one?"""
-        ctx, other = self._probed(cid)
-        return self.oracle.is_subcategory_of(ctx, other, self.name)
+    def probe_up(self, cids: list[int]) -> list[bool]:
+        """Does each existing concept in ``cids`` subsume the new one?"""
+        probed = map(self._probed, cids)
+        return self._ask([(ctx, self.name, other) for ctx, other in probed])
+
+    def probe_down(self, cids: list[int]) -> list[bool]:
+        """Is each existing concept in ``cids`` below the new one?"""
+        probed = map(self._probed, cids)
+        return self._ask([(ctx, other, self.name) for ctx, other in probed])
 
 
 # The searches read the hierarchy's adjacency sets directly rather than
@@ -90,8 +106,9 @@ def _decide_wave(
 
     ``neighbors_up`` maps a node to the nodes whose positivity it requires
     (parents for the top search, children for the bottom search); a negative
-    neighbor settles the node without a probe.  Probes for nodes that become
-    ready simultaneously are issued in id order.
+    neighbor settles the node without a probe.  The nodes that become ready
+    together are probed as one batch: ``probe`` takes their ids in id order
+    and returns the answers in that order, which are applied in it.
     """
     pending = {t for t in targets if t not in status}
     while pending:
@@ -120,8 +137,8 @@ def _decide_wave(
         ]
         if not ready:
             raise AssertionError("traversal stalled; dependency graph is cyclic")
-        for x in ready:
-            status[x] = probe(x)
+        for x, answer in zip(ready, probe(ready)):
+            status[x] = answer
             pending.discard(x)
 
 

@@ -17,6 +17,7 @@ import os
 import re
 import threading
 import time
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -470,6 +471,12 @@ class ChatCompletionOracle:
     Retries transport failures with exponential backoff (bounded), caches
     temperature-0 replies by content hash, counts every successful request in
     the cost ledger and appends one query-log record per request.
+
+    First-token sampling and ``are_subcategories`` send their requests
+    concurrently.  ``max_in_flight`` bounds how many requests are in flight at
+    once, counting the calling thread: it works items itself, helped by at
+    most ``max_in_flight - 1`` threads of one pool that the oracle creates on
+    first use and keeps.  With ``max_in_flight=1`` no thread is started.
     """
 
     def __init__(
@@ -497,12 +504,68 @@ class ChatCompletionOracle:
         self.cache = cache or ResponseCache()
         self.query_log = query_log
         self.ledger = ledger if ledger is not None else CostLedger()
+        if max_in_flight < 1:
+            raise InvalidInputError(f"max_in_flight must be >= 1, got {max_in_flight}")
         self.max_retries = max_retries
         self.backoff_base = backoff_base
         self.backoff_cap = backoff_cap
         self.max_in_flight = max_in_flight
         self._sleep = sleep
         self._ledger_lock = threading.Lock()
+        self._pool: ThreadPoolExecutor | None = None
+        self._pool_lock = threading.Lock()
+
+    def _map(self, fn, items) -> list:
+        """``[fn(x) for x in items]``, with up to ``max_in_flight`` calls at once.
+
+        The calling thread takes items in order alongside at most
+        ``max_in_flight - 1`` pool workers.  After a call raises, no further
+        item is started; the calls already running finish, and the exception
+        of the earliest failed item is raised.
+        """
+        items = list(items)
+        helpers = min(self.max_in_flight, len(items)) - 1
+        if helpers < 1:
+            return [fn(x) for x in items]
+        results: list = [None] * len(items)
+        errors: dict[int, Exception] = {}
+        todo = deque(range(len(items)))
+        claim = threading.Lock()
+
+        def drain() -> None:
+            while True:
+                with claim:
+                    if not todo:
+                        return
+                    i = todo.popleft()
+                try:
+                    results[i] = fn(items[i])
+                except Exception as exc:
+                    with claim:
+                        errors[i] = exc
+                        todo.clear()
+
+        with self._pool_lock:
+            if self._pool is None:
+                # Looked up at call time, so a patched module name takes effect.
+                self._pool = ThreadPoolExecutor(
+                    max_workers=self.max_in_flight - 1,
+                    thread_name_prefix="ontocrawl-oracle",
+                )
+            pool = self._pool
+        futures = [pool.submit(drain) for _ in range(helpers)]
+        try:
+            drain()
+        finally:
+            # Also when the calling thread is interrupted: start nothing new
+            # and wait for the calls already running.
+            with claim:
+                todo.clear()
+            for future in futures:
+                future.result()
+        if errors:
+            raise errors[min(errors)]
+        return results
 
     # -- low level ---------------------------------------------------------
 
@@ -598,14 +661,13 @@ class ChatCompletionOracle:
             except TransportError:
                 return None
 
-        with ThreadPoolExecutor(max_workers=max(1, self.max_in_flight)) as pool:
-            for text in pool.map(one, range(n_samples)):
-                if text is None:
-                    failures += 1
-                    continue
-                token = text.strip()
-                if token:
-                    counts[token] = counts.get(token, 0) + 1
+        for text in self._map(one, range(n_samples)):
+            if text is None:
+                failures += 1
+                continue
+            token = text.strip()
+            if token:
+                counts[token] = counts.get(token, 0) + 1
         if failures:
             logger.warning(
                 "first-token sampling lost %d of %d draws", failures, n_samples
@@ -717,6 +779,13 @@ class ChatCompletionOracle:
         return self._yes_no(
             "verify_subcat", {"C0": ctx.seed_name, "C": c, "D": d}, ctx
         )
+
+    def are_subcategories(
+        self, questions: list[tuple[OracleContext, str, str]]
+    ) -> list[bool]:
+        """``is_subcategory_of`` for each ``(ctx, d, c)``, sent concurrently;
+        the answers come back in question order."""
+        return self._map(lambda q: self.is_subcategory_of(*q), questions)
 
     def rename_from_description(
         self, ctx: OracleContext, c: str, description: str

@@ -65,7 +65,13 @@ class OracleContext:
 
 @runtime_checkable
 class KnowledgeOracle(Protocol):
-    """Everything the crawl pipeline may ask about the domain."""
+    """Everything the crawl pipeline may ask about the domain.
+
+    An oracle may also offer ``are_subcategories(questions) -> list[bool]``,
+    answering a batch of ``(ctx, d, c)`` subcategory questions in order; the
+    insertion search hands it each wave of independent probes.  Without it the
+    questions go to ``is_subcategory_of`` one at a time.
+    """
 
     def has_subconcepts(self, ctx: OracleContext, c: str) -> bool: ...
 
@@ -100,7 +106,9 @@ class QueryLog:
     Records are flat dicts.  ``tagged`` pushes extra key/value pairs onto every
     record made inside the with-block (used to mark traversal phases).  Appends
     are locked so concurrent probes interleave without corruption; tag scopes
-    themselves are managed by the single crawl thread.
+    themselves are managed by the single crawl thread, which waits while a
+    wave's requests are in flight.  The records of one concurrent wave land
+    in the order its requests complete, not in the order they were asked.
 
     With a ``path``, the file is truncated and then held open for appending,
     line-buffered, so each record is in the file when ``record`` returns;

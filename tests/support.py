@@ -167,9 +167,11 @@ class TaxonomyTransport:
     def __init__(self, taxonomy: GroundTruthTaxonomy):
         self.taxonomy = taxonomy
         self.requests = 0
+        self._lock = threading.Lock()
 
     def send(self, body: dict) -> dict:
-        self.requests += 1
+        with self._lock:
+            self.requests += 1
         prompt = body["messages"][0]["content"]
         if body["max_tokens"] == 1:
             kids = self.taxonomy.children_of(self._listed_concept(prompt))

@@ -140,6 +140,12 @@ def test_probe_counters_accumulate_against_the_brute_force_baseline(goats):
 # depth cutoffs
 
 
+def test_a_crawl_without_checkpoint_drains_the_change_set():
+    crawler = run_mock_crawl(random_taxonomy())
+    assert len(crawler.hierarchy) > 1
+    assert crawler.hierarchy.take_changes() == (set(), set())
+
+
 def test_cutoff_one_explores_only_the_seed(goats):
     log = QueryLog()
     crawler = run_mock_crawl(goats, depth=1, query_log=log)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import time
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -414,6 +416,32 @@ def test_sample_first_tokens_counts_and_drops_failures():
     counts = oracle.sample_first_tokens("List.", 5)
     assert counts == {"Dairy": 2, "Meat": 1}
     assert len(transport.bodies) == 5
+
+
+@pytest.mark.parametrize("max_in_flight", [0, -2])
+def test_max_in_flight_below_one_is_refused(max_in_flight):
+    with pytest.raises(InvalidInputError):
+        ChatCompletionOracle(StubTransport([]), max_in_flight=max_in_flight)
+
+
+def test_map_keeps_item_order_and_stops_at_a_failure():
+    oracle = ChatCompletionOracle(StubTransport([]), max_in_flight=3)
+    assert oracle._map(lambda x: x * x, range(20)) == [x * x for x in range(20)]
+
+    ran = []
+
+    def fn(x):
+        ran.append(x)
+        if x in (1, 5):
+            raise ValueError(x)
+        time.sleep(0.02)
+        return x
+
+    with pytest.raises(ValueError) as exc:
+        oracle._map(fn, range(12))
+    # Item 1 is claimed before item 5, so it always runs and its error wins.
+    assert exc.value.args == (1,)
+    assert len(ran) < 12
 
 
 def test_list_subconcepts_validates_the_threshold():
