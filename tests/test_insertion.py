@@ -329,14 +329,8 @@ def test_probes_carry_the_existing_concepts_description(goats):
     assert probe_ctx.descriptions["Boer"] == goats.description_for("Boer")
 
 
-def test_noisy_crawl_issues_the_pinned_query_stream():
-    """Optimizations of the hierarchy and the traversal keep every query.
-
-    The digest covers (op, d, c) of every query-log record of a noisy n=300
-    crawl, as recorded before depths and redundant edges were maintained
-    locally; any change to which probes the traversal issues, or when, shows
-    up here even where the resulting hierarchy is unchanged.
-    """
+def pinned_noisy_stream() -> list[list]:
+    """(op, d, c) of every query-log record of a noisy n=300 daggen crawl."""
     edges = daggen.random_dag(random.Random(300), 300, max_outdegree=5)
     taxonomy = GroundTruthTaxonomy.from_json_dict(daggen.to_fixture(edges))
     noise = NoiseModel(
@@ -348,7 +342,30 @@ def test_noisy_crawl_issues_the_pinned_query_stream():
         p_nontransitive_denial=0.2,
     )
     crawler = run_mock_crawl(taxonomy, noise=noise)
-    stream = [[r["op"], r.get("d"), r.get("c")] for r in crawler.query_log.records]
+    return [[r["op"], r.get("d"), r.get("c")] for r in crawler.query_log.records]
+
+
+def test_noisy_crawl_issues_the_pinned_query_stream():
+    """Optimizations of the hierarchy and the traversal keep every query.
+
+    The digest covers (op, d, c) of every query-log record of a noisy n=300
+    crawl, as recorded before depths and redundant edges were maintained
+    locally; any change to which probes the traversal issues, or when, shows
+    up here even where the resulting hierarchy is unchanged.
+    """
+    stream = pinned_noisy_stream()
     assert len(stream) == 6304
     digest = hashlib.sha256(json.dumps(stream).encode("utf-8")).hexdigest()
     assert digest == "ab985fe74e8a9b6d6d87ee1aedb1fadee11e63a74b3bc3221fbfabf47c25ff06"
+
+
+def test_noisy_crawl_issues_the_pinned_query_multiset():
+    """The same crawl's queries as a multiset, whatever their order.
+
+    A scheduler that only reorders probes keeps this digest and moves the
+    ordered one above; a change to which probes are issued moves both.
+    """
+    stream = pinned_noisy_stream()
+    lines = sorted(json.dumps(rec) for rec in stream)
+    digest = hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()
+    assert digest == "26833687a04df7b1ccb1ee3ed6ed7f6eea23f5b80010acc0e3c541b65fac1172"
