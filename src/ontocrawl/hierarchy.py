@@ -26,6 +26,7 @@ Not thread safe: one writer at a time, readers must not overlap mutations.
 
 from __future__ import annotations
 
+import heapq
 import json
 import logging
 from collections import deque
@@ -81,6 +82,10 @@ class ConceptHierarchy:
         self._names: dict[str, int] = {}
         self._changed_ids: set[int] = set()
         self._changed_edges: set[tuple[int, int]] = set()
+        # Lazy (depth, id) heap of the frontier: an entry is pushed whenever a
+        # concept appears or its depth moves, and entries of explored,
+        # removed or since-moved concepts are skipped when they surface.
+        self._frontier: list[tuple[int, int]] = []
         self._next_id = 0
         self.seed_id = self._register(seed_name, description=None)
 
@@ -292,16 +297,17 @@ class ConceptHierarchy:
     def next_unexplored(self, exploration_depth: int | None = None) -> int | None:
         """Breadth-first frontier choice: shallowest unexplored concept strictly
         above the cutoff, ties broken by discovery order."""
-        best: tuple[int, int] | None = None
-        for cid, c in self._concepts.items():
-            if c.explored:
-                continue
-            if exploration_depth is not None and c.depth >= exploration_depth:
-                continue
-            key = (c.depth, cid)
-            if best is None or key < best:
-                best = key
-        return None if best is None else best[1]
+        heap = self._frontier
+        while heap:
+            depth, cid = heap[0]
+            c = self._concepts.get(cid)
+            if c is None or c.explored or c.depth != depth:
+                heapq.heappop(heap)
+            elif exploration_depth is not None and depth >= exploration_depth:
+                return None
+            else:
+                return cid
+        return None
 
     def take_changes(self) -> tuple[set[int], set[tuple[int, int]]]:
         """The concept ids and direct edges marked since the last call, which
@@ -450,6 +456,7 @@ class ConceptHierarchy:
         self._down[cid] = set()
         self._names[key] = cid
         self._changed_ids.add(cid)
+        heapq.heappush(self._frontier, (0, cid))
         return cid
 
     def _unregister(self, cid: int) -> None:
@@ -557,6 +564,10 @@ class ConceptHierarchy:
             raise IntegrityError(f"concepts unreachable from the seed: {sorted(missing)}")
         for cid, d in depths.items():
             self._concepts[cid].depth = d
+        self._frontier = [
+            (c.depth, cid) for cid, c in self._concepts.items() if not c.explored
+        ]
+        heapq.heapify(self._frontier)
 
     def _recompute_cone_depths(self, top: int) -> None:
         """Recompute the depths of ``top`` and its descendants, parents first.
@@ -574,6 +585,7 @@ class ConceptHierarchy:
             if self._concepts[x].depth != depth:
                 self._concepts[x].depth = depth
                 self._changed_ids.add(x)
+                heapq.heappush(self._frontier, (depth, x))
             for ch in self._children[x]:
                 waiting[ch] -= 1
                 if not waiting[ch]:

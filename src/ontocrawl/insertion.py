@@ -9,11 +9,17 @@ symmetric and runs only inside the region below all found parents.  A concept
 appearing on both sides is a synonym candidate and is resolved by an
 interchangeability question, falling back to a direction question.
 
-Probes that become ready together do not depend on each other's answers, so
-each such set is issued as one batch: an oracle with ``are_subcategories``
-may send its questions concurrently, any other oracle answers them one by one
-in id order.  The answers are applied in id order on the calling thread, which
-alone reads and mutates the hierarchy.
+Both searches run on one scheduler, in rounds.  Each candidate keeps a count
+of the neighbours it needs (its parents in the top search, its children in
+the bottom search) that are not yet known to be positive.  A positive answer
+decrements the counts of the candidates it unlocks, and a candidate whose
+count reaches zero joins the next round; below a negative answer no count
+ever reaches zero, which is the pruning.  So a round holds every probe whose
+needs are met, one traversal level of the whole search, and none of its
+probes depends on another's answer.  Each round is issued as one batch: an
+oracle with ``are_subcategories`` may send its questions concurrently, any
+other oracle answers them one by one in id order.  The answers are applied in
+id order on the calling thread, which alone reads and mutates the hierarchy.
 """
 
 from __future__ import annotations
@@ -21,7 +27,7 @@ from __future__ import annotations
 import contextlib
 import logging
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Container, Mapping
 
 from .errors import CycleError, OracleParseError
 from .hierarchy import ConceptHierarchy, normalize_name
@@ -96,50 +102,47 @@ class _ProbeSession:
 # in the innermost loops and never mutate the hierarchy.
 
 
-def _decide_wave(
-    targets: set[int],
+def _probe_rounds(
     status: dict[int, bool],
+    ready: list[int],
     probe,
-    neighbors_up: Mapping[int, set[int]],
+    needs: Mapping[int, set[int]],
+    unlocks: Mapping[int, set[int]],
+    within: Container[int],
 ) -> None:
-    """Decide membership for ``targets`` (and any nodes they depend on).
+    """Probe, round by round, every node of ``within`` whose needs all test
+    positive, and record each answer in ``status``.
 
-    ``neighbors_up`` maps a node to the nodes whose positivity it requires
-    (parents for the top search, children for the bottom search); a negative
-    neighbor settles the node without a probe.  The nodes that become ready
-    together are probed as one batch: ``probe`` takes their ids in id order
-    and returns the answers in that order, which are applied in it.
+    ``needs`` maps a node to the neighbours that must be positive before it
+    is probed (parents in the top search, children in the bottom search);
+    ``unlocks`` is the reverse map.  ``status`` starts with the nodes known
+    positive without a probe, and ``ready`` holds the nodes that need
+    nothing.  Each node met keeps a count of its needs not yet known to be
+    positive; a positive answer decrements the counts of the nodes it
+    unlocks, and a node whose count reaches zero joins the next round.  A
+    negative answer does nothing, so no node with a negative need is ever
+    probed.  Each round is one call of ``probe`` with the ready ids in id
+    order, whose answers are applied in that order.
     """
-    pending = {t for t in targets if t not in status}
-    while pending:
-        # A node's verdict may hinge on neighbors nobody has looked at yet.
-        stack = list(pending)
-        while stack:
-            x = stack.pop()
-            for n in neighbors_up[x]:
-                if n not in status and n not in pending:
-                    pending.add(n)
-                    stack.append(n)
-        autos = [
-            x
-            for x in sorted(pending)
-            if any(status.get(n) is False for n in neighbors_up[x])
-        ]
-        if autos:
-            for x in autos:
-                status[x] = False
-                pending.discard(x)
-            continue
-        ready = [
-            x
-            for x in sorted(pending)
-            if all(status.get(n) is True for n in neighbors_up[x])
-        ]
+    waiting: dict[int, int] = {}
+    positive = [x for x, pos in status.items() if pos]
+    while True:
+        for p in positive:
+            for x in unlocks[p]:
+                if x in status or x not in within:
+                    continue
+                if x not in waiting:
+                    waiting[x] = len(needs[x])
+                waiting[x] -= 1
+                if not waiting[x]:
+                    ready.append(x)
         if not ready:
-            raise AssertionError("traversal stalled; dependency graph is cyclic")
-        for x, answer in zip(ready, probe(ready)):
+            return
+        batch, ready, positive = sorted(ready), [], []
+        for x, answer in zip(batch, probe(batch)):
             status[x] = answer
-            pending.discard(x)
+            if answer:
+                positive.append(x)
 
 
 def top_search(
@@ -155,22 +158,11 @@ def top_search(
     status: dict[int, bool] = {h.seed_id: True, entry: True}
     for a in h.ancestors(entry):
         status[a] = True
-
-    expanded: set[int] = set()
-    while True:
-        frontier = sorted(
-            x for x, pos in status.items() if pos and x not in expanded
-        )
-        if not frontier:
-            break
-        for d in frontier:
-            expanded.add(d)
-            _decide_wave(h._children[d], status, session.probe_up, h._parents)
-
+    _probe_rounds(status, [], session.probe_up, h._parents, h._children, h._concepts)
     return {
         x
         for x, pos in status.items()
-        if pos and not any(status.get(k) is True for k in h._children[x])
+        if pos and not any(status.get(k) for k in h._children[x])
     }
 
 
@@ -196,12 +188,12 @@ def bottom_search(
         return set()
 
     status: dict[int, bool] = {}
-    _decide_wave(region, status, session.probe_down, h._children)
-
+    leaves = [x for x in region if not h._children[x]]
+    _probe_rounds(status, leaves, session.probe_down, h._children, h._parents, region)
     return {
         x
-        for x in region
-        if status[x] is True and not any(status.get(p) is True for p in h._parents[x])
+        for x, pos in status.items()
+        if pos and not any(status.get(p) for p in h._parents[x])
     }
 
 

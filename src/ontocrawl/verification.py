@@ -5,8 +5,10 @@ in order: not an instance of the domain, not a part, acceptable under the
 seed, and understood as a subcategory of C.  The check short-circuits at the
 first failure.  Failing step 1 or 2 rejects immediately; failing step 3 or 4
 grants one rename attempt from D's description, after which all four steps
-run once more on the new name.  Inconclusive oracle answers reject without a
-rename.  Worst case: 4 + 1 + 4 oracle calls.
+run once more on the new name.  An inconclusive answer, one that cannot be
+parsed, rejects without a rename.  A transport failure is not an answer: it
+propagates, so the crawl aborts resumably instead of dismissing the
+candidate.  Worst case: 4 + 1 + 4 oracle calls.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass, field, replace
 
-from .errors import OracleError
+from .errors import OracleParseError
 from .hierarchy import normalize_name
 from .oracle import KnowledgeOracle, OracleContext
 
@@ -83,7 +85,7 @@ def _run_steps(
             else:
                 ok = oracle.is_subcategory_of(ctx, d, c)
                 answer, bad = ok, not ok
-        except OracleError as exc:
+        except OracleParseError as exc:
             logger.warning("verification step %r inconclusive for %r: %s", step, d, exc)
             transcript.append((step, INCONCLUSIVE))
             return reason, False
@@ -106,7 +108,7 @@ def verify(oracle: KnowledgeOracle, ctx: OracleContext, d: str, c: str) -> Verdi
     description = ctx.description_of(d)
     try:
         new_name = oracle.rename_from_description(ctx, c, description or "")
-    except OracleError as exc:
+    except OracleParseError as exc:
         logger.warning("rename inconclusive for %r: %s", d, exc)
         transcript.append(("rename", INCONCLUSIVE))
         return Verdict(REJECTED, reason=REASON_RENAME_FAILED, transcript=transcript)

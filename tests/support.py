@@ -95,6 +95,16 @@ def run_mock_crawl(taxonomy: GroundTruthTaxonomy, **kwargs) -> Crawler:
     return crawler
 
 
+def scan_next_unexplored(h: ConceptHierarchy, cutoff: int | None) -> int | None:
+    """The frontier choice by a linear scan over every concept."""
+    keys = [
+        (c.depth, c.id)
+        for c in h.concepts()
+        if not c.explored and (cutoff is None or c.depth < cutoff)
+    ]
+    return min(keys)[1] if keys else None
+
+
 def edge_names(crawler_or_hierarchy) -> set[tuple[str, str]]:
     h = getattr(crawler_or_hierarchy, "hierarchy", crawler_or_hierarchy)
     return {

@@ -17,12 +17,12 @@ from ontocrawl.cli import (
     OUTPUT_FILES,
     main,
 )
-from ontocrawl.errors import OracleParseError
+from ontocrawl.errors import OracleParseError, TransportError
 from ontocrawl.hierarchy import ConceptHierarchy
 
 from conftest import FIXTURES
 from owl_check import doc_matches_hierarchy, parse_owl
-from support import make_mock_crawler
+from support import RaisingOracle, make_mock_crawler
 
 GOATS = FIXTURES / "goats.json"
 
@@ -198,6 +198,28 @@ def test_llm_backend_without_key_aborts_with_checkpoint(
     data = read_checkpoint(out)
     assert len(ConceptHierarchy.from_json_dict(data["hierarchy"])) == 1
     assert (out / "stats.txt").exists()
+
+
+@pytest.mark.parametrize("op", ["is_instance", "is_part", "under_seed"])
+def test_transport_failure_in_verification_exits_4_and_resumes(
+    tmp_path, monkeypatch, finished_run, op
+):
+    build = cli._build_oracle
+
+    def flaky(*args):
+        error = TransportError("HTTP 429", status=429, retryable=False)
+        return RaisingOracle(build(*args), op, error, after=5)
+
+    out = tmp_path / "out"
+    monkeypatch.setattr(cli, "_build_oracle", flaky)
+    assert main(crawl_argv(out)) == EXIT_ABORTED
+    assert read_checkpoint(out)["rejections"] == []
+    monkeypatch.setattr(cli, "_build_oracle", build)
+    assert main(["resume", str(out / "checkpoint.json")]) == EXIT_OK
+    for name in ("hierarchy.owl", "hierarchy.dot", "rejected.jsonl"):
+        assert (out / name).read_bytes() == (finished_run / name).read_bytes()
+    resumed, clean = read_checkpoint(out), read_checkpoint(finished_run)
+    assert resumed["hierarchy"] == clean["hierarchy"]
 
 
 # ---------------------------------------------------------------------------

@@ -22,6 +22,7 @@ from ontocrawl import (
 )
 from ontocrawl.crawler import (
     _journal_index,
+    hierarchy_from_checkpoint,
     journal_path,
     load_checkpoint,
     save_checkpoint,
@@ -40,6 +41,7 @@ from support import (
     edge_names,
     make_mock_crawler,
     run_mock_crawl,
+    scan_next_unexplored,
 )
 
 SMALL = GroundTruthTaxonomy.from_json_dict(
@@ -304,6 +306,32 @@ def random_taxonomy(seed: int = 9001) -> GroundTruthTaxonomy:
     rng = random.Random(seed)
     edges = daggen.random_dag(rng, rng.randint(10, 50), max_outdegree=5)
     return GroundTruthTaxonomy.from_json_dict(daggen.to_fixture(edges))
+
+
+def test_frontier_heap_matches_a_linear_scan_after_every_step():
+    edges = daggen.random_dag(random.Random(41), 150, max_outdegree=5)
+    taxonomy = GroundTruthTaxonomy.from_json_dict(daggen.to_fixture(edges))
+    noise = NoiseModel(
+        rng_seed=5,
+        p_hallucinated_edge=0.05,
+        p_missing_edge=0.1,
+        p_wrong_relation=0.2,
+        p_attribute_inflation=0.2,
+        p_nontransitive_denial=0.2,
+    )
+    crawler = make_mock_crawler(taxonomy, noise=noise)
+    steps = 0
+    while True:
+        h = crawler.hierarchy
+        for cutoff in (None, 1, 2, 3, 4, 6):
+            assert h.next_unexplored(cutoff) == scan_next_unexplored(h, cutoff)
+        if steps % 25 == 0:
+            loaded = hierarchy_from_checkpoint(crawler.to_checkpoint_dict())
+            assert loaded.next_unexplored() == scan_next_unexplored(h, None)
+        if not crawler.step():
+            break
+        steps += 1
+    assert steps > 80
 
 
 def test_checkpoint_file_mirrors_the_in_memory_state(goats, tmp_path):
@@ -723,6 +751,59 @@ def test_step_propagates_the_transport_error(goats, tmp_path):
     with pytest.raises(TransportError):
         crawler.step()
     assert (tmp_path / "boom.json").exists()
+
+
+VERIFICATION_OPS = (
+    "is_instance",
+    "is_part",
+    "under_seed",
+    "is_subcategory_of",  # step 4, and the insertion probes
+    "rename_from_description",
+)
+
+
+@pytest.mark.parametrize("noise", [None, NOISY], ids=["clean", "noisy"])
+def test_a_transport_failure_in_verification_aborts_instead_of_rejecting(
+    goats, tmp_path, noise
+):
+    """At every call of every verification operation, a failed request aborts
+    the crawl, and the resumed crawl ends where an uninterrupted one does.
+    Only the ledger and counters differ: the interrupted step is asked again.
+    """
+
+    def outcome(crawler):
+        data = crawler.to_checkpoint_dict()
+        del data["ledger"], data["counters"]
+        return data
+
+    uninterrupted = run_mock_crawl(goats, noise=noise)
+    expected = outcome(uninterrupted)
+    for op in VERIFICATION_OPS:
+        calls = uninterrupted.query_log.count(op=op)
+        assert calls or (noise is None and op == "rename_from_description")
+        for k in range(calls):
+            path = tmp_path / f"{op}-{k}.json"
+            flaky = RaisingOracle(
+                MockOracle(goats, noise),
+                op,
+                TransportError("HTTP 401", status=401, retryable=False),
+                after=k,
+            )
+            crawler = Crawler(
+                CrawlConfig(seed_name="Goats", oracle="mock:fixture"),
+                flaky,
+                checkpoint_path=path,
+            )
+            with pytest.raises(CrawlAbortedError):
+                crawler.run()
+            assert flaky.calls == k + 1
+            oracle = MockOracle(goats, noise)
+            resumed = Crawler.from_checkpoint(
+                load_checkpoint(path), oracle, checkpoint_path=path
+            )
+            oracle.ledger = resumed.ledger
+            resumed.run()
+            assert outcome(resumed) == expected, (op, k)
 
 
 # ---------------------------------------------------------------------------

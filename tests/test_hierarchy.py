@@ -15,7 +15,7 @@ from ontocrawl.errors import (
     InvalidInputError,
     NotFoundError,
 )
-from support import build_hierarchy
+from support import build_hierarchy, scan_next_unexplored
 
 
 def test_new_hierarchy_contains_only_the_seed():
@@ -323,6 +323,33 @@ def test_next_unexplored_respects_depth_cutoff():
     h.add_concept("Deep", [a])
     assert h.next_unexplored(exploration_depth=1) is None
     assert h.next_unexplored(exploration_depth=2) == a
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_frontier_heap_matches_a_linear_scan_under_any_mutation(data):
+    """Edge additions move depths both ways, merges and loads rebuild them;
+    after each, the heap's choice is the shallowest, earliest unexplored."""
+    h = ConceptHierarchy("c")
+    for step in range(data.draw(st.integers(1, 40))):
+        pick = st.sampled_from(h.ids())
+        op = data.draw(st.sampled_from(["add", "edge", "merge", "explore", "load"]))
+        try:
+            if op == "add":
+                parents = data.draw(st.sets(pick, min_size=1, max_size=2))
+                h.add_concept(f"c{step}", parents)
+            elif op == "edge":
+                h.add_subsumption(data.draw(pick), data.draw(pick))
+            elif op == "merge":
+                h.merge_synonyms(data.draw(pick), data.draw(pick))
+            elif op == "explore":
+                h.mark_explored(data.draw(pick))
+            else:
+                h = ConceptHierarchy.from_json_dict(h.to_json_dict())
+        except (CycleError, InvalidInputError):
+            pass
+        for cutoff in (None, 1, 2, 3):
+            assert h.next_unexplored(cutoff) == scan_next_unexplored(h, cutoff)
 
 
 def test_edge_origin_bookkeeping():

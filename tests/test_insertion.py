@@ -329,6 +329,7 @@ def test_probes_carry_the_existing_concepts_description(goats):
     assert probe_ctx.descriptions["Boer"] == goats.description_for("Boer")
 
 
+@pytest.fixture(scope="module")
 def pinned_noisy_stream() -> list[list]:
     """(op, d, c) of every query-log record of a noisy n=300 daggen crawl."""
     edges = daggen.random_dag(random.Random(300), 300, max_outdegree=5)
@@ -345,27 +346,27 @@ def pinned_noisy_stream() -> list[list]:
     return [[r["op"], r.get("d"), r.get("c")] for r in crawler.query_log.records]
 
 
-def test_noisy_crawl_issues_the_pinned_query_stream():
+def test_noisy_crawl_issues_the_pinned_query_stream(pinned_noisy_stream):
     """Optimizations of the hierarchy and the traversal keep every query.
 
     The digest covers (op, d, c) of every query-log record of a noisy n=300
-    crawl, as recorded before depths and redundant edges were maintained
-    locally; any change to which probes the traversal issues, or when, shows
-    up here even where the resulting hierarchy is unchanged.
+    crawl; any change to which probes the traversal issues, or when, shows
+    up here even where the resulting hierarchy is unchanged.  It was
+    recorded when both searches moved to one probe round per traversal
+    level, which reordered the probes and kept their multiset (the next
+    test).
     """
-    stream = pinned_noisy_stream()
-    assert len(stream) == 6304
-    digest = hashlib.sha256(json.dumps(stream).encode("utf-8")).hexdigest()
-    assert digest == "ab985fe74e8a9b6d6d87ee1aedb1fadee11e63a74b3bc3221fbfabf47c25ff06"
+    assert len(pinned_noisy_stream) == 6304
+    digest = hashlib.sha256(json.dumps(pinned_noisy_stream).encode("utf-8")).hexdigest()
+    assert digest == "1710ae7cbf74ed92fa804d429a7cd744a8e3612123aa462c1f0ac8318219057c"
 
 
-def test_noisy_crawl_issues_the_pinned_query_multiset():
+def test_noisy_crawl_issues_the_pinned_query_multiset(pinned_noisy_stream):
     """The same crawl's queries as a multiset, whatever their order.
 
     A scheduler that only reorders probes keeps this digest and moves the
     ordered one above; a change to which probes are issued moves both.
     """
-    stream = pinned_noisy_stream()
-    lines = sorted(json.dumps(rec) for rec in stream)
+    lines = sorted(json.dumps(rec) for rec in pinned_noisy_stream)
     digest = hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()
     assert digest == "26833687a04df7b1ccb1ee3ed6ed7f6eea23f5b80010acc0e3c541b65fac1172"
