@@ -19,7 +19,9 @@ class CycleError(OntocrawlError):
     """An edge or merge would create a cycle among distinct concepts.
 
     ``path`` holds the offending concept ids in order; the first and last
-    entries coincide once the rejected edge is taken into account.
+    entries coincide once the rejected edge is taken into account.  For a
+    refused merge the path is already closed: its last step joins the two
+    concepts the merge would identify, and every other step is a direct edge.
     """
 
     def __init__(self, message: str, path: list[int] | None = None):

@@ -7,10 +7,12 @@ are O(1) set lookups.  Depth is the shortest edge distance from the seed in
 the reduction.  An edge addition recomputes depths only over the child and
 its descendants, in topological order: every edge it adds or drops has its
 lower end there.  Depths can rise as well as fall, because the new edge can
-make a shorter direct edge redundant and drop it.  Synonym merges and loads
-rebuild closure and depths from scratch.  One concept may carry several names
-(a canonical name plus synonyms); name lookups are whitespace- and
-case-insensitive.
+make a shorter direct edge redundant and drop it.  Synonym merges rebuild
+closure, reduction and depths from scratch.  A load takes the stored edges and
+depths as they are, derives the closure from the edges, and refuses the
+document when ``verify_integrity`` finds a cycle, a redundant edge, a wrong
+depth or a bad name.  One concept may carry several names (a canonical name
+plus synonyms); name lookups are whitespace- and case-insensitive.
 
 Every mutation marks what it touched in a change set: the concept ids whose
 record (``concept_record``) may differ, and the direct edges that may have
@@ -175,13 +177,9 @@ class ConceptHierarchy:
         for p in parents:
             self._require(p)
         cid = self._register(name, description)
-        try:
-            for p in parents:
-                self.add_subsumption(cid, p, origin=origin)
-        except CycleError:
-            # A fresh node cannot close a cycle through parent edges alone.
-            self._unregister(cid)
-            raise
+        # A fresh node has nothing below it, so no parent edge closes a cycle.
+        for p in parents:
+            self.add_subsumption(cid, p, origin=origin)
         return cid
 
     def add_synonym_name(self, cid: int, name: str) -> None:
@@ -252,13 +250,22 @@ class ConceptHierarchy:
 
         The earlier-discovered id survives; names, descriptions and edges are
         unioned, the reduction re-minimized, depths recomputed.  Raises
-        CycleError when the union would create a cycle among the remaining
-        concepts (the pair is then not a pure synonym).
+        CycleError, before changing anything, when the union would create a
+        cycle among the remaining concepts (the pair is then not a pure
+        synonym).  That happens exactly when one is a strict ancestor of the
+        other through a path of two or more edges; a direct edge between them
+        is the only path, since the reduction of a DAG is unique, and merely
+        folds away.
         """
         self._require(a)
         self._require(b)
         if a == b:
             raise InvalidInputError("cannot merge a concept with itself")
+        for low, high in ((a, b), (b, a)):
+            if high in self._up[low] and (low, high) not in self._edge_origin:
+                cycle = self._reduction_path(low, high) + [low]
+                names = " < ".join(self._concepts[i].canonical_name for i in cycle)
+                raise CycleError(f"merge would close a cycle: {names}", path=cycle)
         survivor, loser = (a, b) if a < b else (b, a)
 
         merged_edges: dict[tuple[int, int], str | None] = {}
@@ -271,11 +278,6 @@ class ConceptHierarchy:
                 continue
             merged_edges[(u2, v2)] = org
 
-        cycle = self._find_cycle(set(self._concepts) - {loser}, merged_edges)
-        if cycle is not None:
-            names = " < ".join(self._concepts[i].canonical_name for i in cycle)
-            raise CycleError(f"merge would close a cycle: {names}", path=cycle)
-
         s, l = self._concepts[survivor], self._concepts[loser]
         s.synonym_names |= {l.canonical_name} | l.synonym_names
         s.description = s.description or l.description
@@ -283,7 +285,7 @@ class ConceptHierarchy:
         for key, cid in list(self._names.items()):
             if cid == loser:
                 self._names[key] = survivor
-        del self._concepts[loser]
+        del self._concepts[loser], self._parents[loser], self._children[loser]
         self._changed_ids.add(loser)
 
         self._rebuild_from_edges(merged_edges)
@@ -344,6 +346,9 @@ class ConceptHierarchy:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "ConceptHierarchy":
+        """Load a hierarchy document.  Its records are taken as stored and
+        ``verify_integrity`` is the one structural check; a document that
+        cannot be parsed or fails that check raises CheckpointError."""
         if not isinstance(data, dict):
             raise CheckpointError("hierarchy document must be a JSON object")
         if data.get("version") != CHECKPOINT_VERSION:
@@ -359,55 +364,55 @@ class ConceptHierarchy:
         if not concepts:
             raise CheckpointError("hierarchy document has no concepts")
 
-        by_id = sorted(concepts, key=lambda c: c["id"])
-        if by_id[0]["id"] != seed:
-            raise CheckpointError("seed must be the earliest concept")
-        h = cls(by_id[0]["canonical_name"])
-        h.seed_id = seed
-        h._concepts.clear()
-        h._parents.clear()
-        h._children.clear()
-        h._up.clear()
-        h._down.clear()
-        h._names.clear()
-        for rec in by_id:
-            cid = rec["id"]
-            concept = Concept(
-                id=cid,
-                canonical_name=rec["canonical_name"],
-                synonym_names=set(rec.get("synonyms", [])),
-                description=rec.get("description"),
-                explored=bool(rec.get("explored", False)),
-                depth=int(rec.get("depth", 0)),
-            )
-            h._concepts[cid] = concept
-            h._parents[cid] = set()
-            h._children[cid] = set()
-            h._up[cid] = set()
-            h._down[cid] = set()
-            for name in concept.all_names():
-                key = normalize_name(name)
-                if not key or key in h._names:
-                    raise CheckpointError(f"duplicate or empty name {name!r}")
-                h._names[key] = cid
-        h._next_id = by_id[-1]["id"] + 1
-        edge_map: dict[tuple[int, int], str | None] = {}
-        for pair in edges:
-            child, parent = int(pair[0]), int(pair[1])
-            if child not in h._concepts or parent not in h._concepts:
-                raise CheckpointError(f"edge {pair} references unknown concept")
-            edge_map[(child, parent)] = None
         try:
-            h._rebuild_from_edges(edge_map, reduce=False)
-        except (CycleError, IntegrityError) as exc:
-            raise CheckpointError(f"hierarchy document is not a valid DAG: {exc}") from exc
-        stored_depths = {rec["id"]: rec["depth"] for rec in by_id}
-        for cid, c in h._concepts.items():
-            if c.depth != stored_depths[cid]:
-                raise CheckpointError(
-                    f"stored depth of concept {cid} disagrees with the edges"
+            by_id = sorted(concepts, key=lambda c: c["id"])
+            if by_id[0]["id"] != seed:
+                raise CheckpointError("seed must be the earliest concept")
+            h = cls(by_id[0]["canonical_name"])
+            h.seed_id = seed
+            h._concepts.clear()
+            h._parents.clear()
+            h._children.clear()
+            h._names.clear()
+            for rec in by_id:
+                cid, depth = rec["id"], rec["depth"]
+                if type(cid) is not int or type(depth) is not int:
+                    raise CheckpointError(f"concept {cid!r}: id and depth must be ints")
+                concept = Concept(
+                    id=cid,
+                    canonical_name=rec["canonical_name"],
+                    synonym_names=set(rec.get("synonyms", [])),
+                    description=rec.get("description"),
+                    explored=bool(rec.get("explored", False)),
+                    depth=depth,
                 )
-        h.verify_integrity()
+                h._concepts[cid] = concept
+                h._parents[cid] = set()
+                h._children[cid] = set()
+                for name in concept.all_names():
+                    key = normalize_name(name)
+                    if not key or key in h._names:
+                        raise CheckpointError(f"duplicate or empty name {name!r}")
+                    h._names[key] = cid
+            for pair in edges:
+                child, parent = int(pair[0]), int(pair[1])
+                if child not in h._concepts or parent not in h._concepts:
+                    raise CheckpointError(f"edge {pair} references unknown concept")
+                h._parents[child].add(parent)
+                h._children[parent].add(child)
+                h._edge_origin[(child, parent)] = None
+        except (
+            AttributeError, InvalidInputError, LookupError, TypeError, ValueError
+        ) as exc:
+            raise CheckpointError(f"malformed hierarchy record: {exc!r}") from None
+        h._next_id = by_id[-1]["id"] + 1
+        h._up, h._down = h._closure_by_bfs()
+        h._reset_frontier()
+        h._changed_ids, h._changed_edges = set(h._concepts), set(h._edge_origin)
+        try:
+            h.verify_integrity()
+        except IntegrityError as exc:
+            raise CheckpointError(f"hierarchy document is not a valid DAG: {exc}") from exc
         return h
 
     @classmethod
@@ -419,10 +424,11 @@ class ConceptHierarchy:
         return cls.from_json_dict(data)
 
     # ------------------------------------------------------------------
-    # integrity (debug/verify path: full recomputation, compared to live state)
+    # integrity (the one structural check of a load, and a debug aid: full
+    # recomputation, compared to live state)
 
     def verify_integrity(self) -> None:
-        up, down = self._closure_by_bfs(self._edge_adjacency())
+        up, down = self._closure_by_bfs()
         if up != self._up or down != self._down:
             raise IntegrityError("incremental closure disagrees with BFS recomputation")
         for cid in self._concepts:
@@ -459,17 +465,6 @@ class ConceptHierarchy:
         heapq.heappush(self._frontier, (0, cid))
         return cid
 
-    def _unregister(self, cid: int) -> None:
-        for key in [k for k, v in self._names.items() if v == cid]:
-            del self._names[key]
-        for p in self._parents[cid]:
-            self._children[p].discard(cid)
-            self._edge_origin.pop((cid, p), None)
-            self._changed_edges.add((cid, p))
-        self._changed_ids.add(cid)
-        del self._concepts[cid], self._parents[cid], self._children[cid]
-        del self._up[cid], self._down[cid]
-
     def _check_new_name(self, name: str) -> str:
         if not isinstance(name, str) or not name.strip():
             raise InvalidInputError("concept name must be a non-empty string")
@@ -481,9 +476,6 @@ class ConceptHierarchy:
     def _require(self, cid: int) -> None:
         if cid not in self._concepts:
             raise NotFoundError(f"no concept with id {cid!r}")
-
-    def _edge_adjacency(self) -> dict[int, set[int]]:
-        return {cid: set(self._parents[cid]) for cid in self._concepts}
 
     def _reachable_without(self, u: int, v: int) -> bool:
         """Is v reachable upward from u without using the direct edge (u, v)?"""
@@ -526,9 +518,8 @@ class ConceptHierarchy:
         self._edge_origin.pop((u, v), None)
         self._changed_edges.add((u, v))
 
-    def _closure_by_bfs(
-        self, parents: dict[int, set[int]]
-    ) -> tuple[dict[int, set[int]], dict[int, set[int]]]:
+    def _closure_by_bfs(self) -> tuple[dict[int, set[int]], dict[int, set[int]]]:
+        parents = self._parents
         up: dict[int, set[int]] = {}
         for cid in parents:
             seen: set[int] = set()
@@ -557,13 +548,7 @@ class ConceptHierarchy:
                     queue.append(ch)
         return depths
 
-    def _recompute_depths(self) -> None:
-        depths = self._depths_by_bfs()
-        if len(depths) != len(self._concepts):
-            missing = set(self._concepts) - set(depths)
-            raise IntegrityError(f"concepts unreachable from the seed: {sorted(missing)}")
-        for cid, d in depths.items():
-            self._concepts[cid].depth = d
+    def _reset_frontier(self) -> None:
         self._frontier = [
             (c.depth, cid) for cid, c in self._concepts.items() if not c.explored
         ]
@@ -591,48 +576,9 @@ class ConceptHierarchy:
                 if not waiting[ch]:
                     ready.append(ch)
 
-    def _find_cycle(
-        self, nodes: set[int], edges: dict[tuple[int, int], str | None]
-    ) -> list[int] | None:
-        """Kahn's algorithm; on failure returns one cycle as an id path."""
-        out: dict[int, set[int]] = {n: set() for n in nodes}
-        indeg: dict[int, int] = {n: 0 for n in nodes}
-        for child, parent in edges:
-            out[child].add(parent)
-            indeg[parent] += 1
-        queue = deque(n for n in nodes if indeg[n] == 0)
-        seen = 0
-        while queue:
-            x = queue.popleft()
-            seen += 1
-            for y in out[x]:
-                indeg[y] -= 1
-                if indeg[y] == 0:
-                    queue.append(y)
-        if seen == len(nodes):
-            return None
-        remaining = {n for n in nodes if indeg[n] > 0}
-        # Kahn leaves behind both the cycle and everything downstream of it;
-        # peel nodes without a successor in the set so every walk can go on.
-        changed = True
-        while changed:
-            changed = False
-            for n in list(remaining):
-                if not (out[n] & remaining):
-                    remaining.discard(n)
-                    changed = True
-        start = min(remaining)
-        path, cur = [start], start
-        while True:
-            cur = min(out[cur] & remaining)
-            if cur in path:
-                return path[path.index(cur):] + [cur]
-            path.append(cur)
-
-    def _rebuild_from_edges(
-        self, edges: dict[tuple[int, int], str | None], *, reduce: bool = True
-    ) -> None:
-        """Replace adjacency with ``edges``, recompute closure/depths, re-minimize."""
+    def _rebuild_from_edges(self, edges: dict[tuple[int, int], str | None]) -> None:
+        """Replace adjacency with the acyclic ``edges``, then recompute the
+        closure, re-minimize, and recompute depths and the frontier."""
         self._changed_ids |= self._concepts.keys()
         self._changed_edges |= self._edge_origin.keys() | edges.keys()
         for cid in self._concepts:
@@ -642,15 +588,10 @@ class ConceptHierarchy:
         for child, parent in edges:
             self._parents[child].add(parent)
             self._children[parent].add(child)
-        cycle = self._find_cycle(set(self._concepts), self._edge_origin)
-        if cycle is not None:
-            names = " < ".join(self._concepts[i].canonical_name for i in cycle)
-            raise CycleError(f"edge set contains a cycle: {names}", path=cycle)
-        self._up, self._down = self._closure_by_bfs(self._edge_adjacency())
-        if reduce:
-            for u, v in sorted(self._edge_origin):
-                if self._reachable_without(u, v):
-                    self._drop_edge(u, v)
-        elif any(self._reachable_without(u, v) for u, v in sorted(self._edge_origin)):
-            raise IntegrityError("stored direct edges are not a transitive reduction")
-        self._recompute_depths()
+        self._up, self._down = self._closure_by_bfs()
+        for u, v in sorted(self._edge_origin):
+            if self._reachable_without(u, v):
+                self._drop_edge(u, v)
+        for cid, depth in self._depths_by_bfs().items():
+            self._concepts[cid].depth = depth
+        self._reset_frontier()

@@ -19,7 +19,7 @@ import threading
 import time
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Protocol
 
@@ -321,12 +321,7 @@ class CompletionParams:
             raise InvalidInputError(f"max_tokens must be positive: {self.max_tokens}")
 
     def to_dict(self) -> dict:
-        return {
-            "model": self.model,
-            "temperature": self.temperature,
-            "top_p": self.top_p,
-            "max_tokens": self.max_tokens,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 DEFAULT_SAMPLING_TEMPERATURE = 2.0
@@ -356,20 +351,17 @@ class CostLedger:
         )
 
     def to_dict(self) -> dict:
-        return {
-            "requests": self.requests,
-            "prompt_tokens": self.prompt_tokens,
-            "completion_tokens": self.completion_tokens,
-            "dollars": self.dollars,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     @classmethod
     def from_dict(cls, data: dict) -> "CostLedger":
+        """Missing fields take their defaults; each value is coerced to its
+        default's type (int counts, float dollars)."""
         return cls(
-            requests=int(data.get("requests", 0)),
-            prompt_tokens=int(data.get("prompt_tokens", 0)),
-            completion_tokens=int(data.get("completion_tokens", 0)),
-            dollars=float(data.get("dollars", 0.0)),
+            **{
+                f.name: type(f.default)(data.get(f.name, f.default))
+                for f in fields(cls)
+            }
         )
 
 
@@ -795,11 +787,7 @@ class ChatCompletionOracle:
             {"C0": ctx.seed_name, "C": c, "description": description},
             ctx,
         )
-        try:
-            result = self.complete(prompt, self.params, template_name="rename")
-        except TransportError:
-            logger.warning("rename request failed; dropping the candidate")
-            return None
+        result = self.complete(prompt, self.params, template_name="rename")
         text = result.text.strip()
         first_line = text.splitlines()[0] if text else ""
         # Peel interleaved quoting and a sentence period, e.g. '"Apple Tree".'

@@ -326,12 +326,6 @@ class GroundTruthTaxonomy:
             return False
         return lk == hk or hk in self._up[lk]
 
-    def direct_edge(self, child: str, parent: str) -> bool:
-        ck, pk = self.class_key(child), self.class_key(parent)
-        if ck is None or pk is None:
-            return False
-        return pk in self._parents.get(ck, ())
-
     def same_class(self, a: str, b: str) -> bool:
         ka, kb = self.class_key(a), self.class_key(b)
         return ka is not None and ka == kb
@@ -478,16 +472,17 @@ class MockOracle:
         return answer
 
     def is_subcategory_of(self, ctx: OracleContext, d: str, c: str) -> bool:
-        truth = self.taxonomy.reaches(d, c) and not self.taxonomy.same_class(d, c)
-        answer = truth
-        if truth and not self.taxonomy.direct_edge(d, c):
-            if self._flip(self.noise.p_nontransitive_denial, "denial", d, c):
-                answer = False
-        elif not truth:
-            if self.taxonomy.same_class(d, c):
-                answer = True  # synonyms subsume each other
-            elif self._flip(self.noise.p_hallucinated_edge, "hallucination", d, c):
-                answer = True
+        tax = self.taxonomy
+        dk, ck = tax.class_key(d), tax.class_key(c)
+        if dk is not None and dk == ck:
+            answer = True  # synonyms subsume each other
+        elif dk is not None and ck in tax._up[dk]:
+            # True; a relation that holds only transitively may be denied.
+            answer = ck in tax._parents.get(dk, ()) or not self._flip(
+                self.noise.p_nontransitive_denial, "denial", d, c
+            )
+        else:
+            answer = self._flip(self.noise.p_hallucinated_edge, "hallucination", d, c)
         self._done("is_subcategory_of", answer, d=d, c=c)
         return answer
 

@@ -426,6 +426,63 @@ def test_from_json_rejects_malformed_documents():
     with pytest.raises(CheckpointError):
         ConceptHierarchy.from_json_dict(late_seed)
 
+    for index in (0, 2):
+        for field in ("id", "canonical_name", "depth"):
+            missing = copy.deepcopy(good)
+            del missing["concepts"][index][field]
+            with pytest.raises(CheckpointError):
+                ConceptHierarchy.from_json_dict(missing)
+
+    for depth in ("1", 1.0, None, True, [1]):
+        bad_depth = copy.deepcopy(good)
+        bad_depth["concepts"][1]["depth"] = depth
+        with pytest.raises(CheckpointError):
+            ConceptHierarchy.from_json_dict(bad_depth)
+
+    orphan = copy.deepcopy(good)
+    orphan["concepts"].append({"id": 3, "canonical_name": "C", "depth": 1})
+    with pytest.raises(CheckpointError):
+        ConceptHierarchy.from_json_dict(orphan)
+
+
+def test_a_load_checks_each_stored_edge_once(monkeypatch):
+    """verify_integrity is a load's one structural check: one redundancy
+    test per stored edge and one depth pass."""
+    rng = random.Random(11)
+    n = 150
+    doc = build_hierarchy(daggen.random_dag(rng, n), n).to_json_dict()
+    calls = {"_reachable_without": 0, "_depths_by_bfs": 0}
+    for name in calls:
+        original = getattr(ConceptHierarchy, name)
+
+        def counting(self, *args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(self, *args)
+
+        monkeypatch.setattr(ConceptHierarchy, name, counting)
+    ConceptHierarchy.from_json_dict(doc)
+    assert calls == {
+        "_reachable_without": len(doc["direct_edges"]),
+        "_depths_by_bfs": 1,
+    }
+
+
+def test_a_refused_merge_reports_the_cycle_it_would_close():
+    h = ConceptHierarchy("Seed")
+    x = h.add_concept("X", [h.seed_id])
+    m = h.add_concept("M", [x])
+    y = h.add_concept("Y", [m])
+    for a, b in ((x, y), (y, x)):
+        with pytest.raises(CycleError) as exc:
+            h.merge_synonyms(a, b)
+        path = exc.value.path
+        assert path[0] == path[-1]
+        # The last step is the identification of the merged pair; every other
+        # step is a direct edge, child first.
+        assert {path[-2], path[-1]} == {x, y}
+        assert all(h.has_edge(u, v) for u, v in zip(path[:-2], path[1:-1]))
+        assert path == [y, m, x, y]
+
 
 def test_verify_integrity_catches_corrupted_closure():
     h = ConceptHierarchy("Seed")

@@ -15,6 +15,7 @@ from ontocrawl import (
     OracleContext,
     QueryLog,
     ResponseCache,
+    verify,
 )
 from ontocrawl.errors import (
     InvalidInputError,
@@ -544,11 +545,21 @@ def test_rename_cleans_up_the_reply():
         assert oracle.rename_from_description(CTX, "Apple", "desc") is None
 
 
-def test_rename_transport_failure_drops_the_candidate():
-    oracle, _, _ = make_oracle(
-        [TransportError("HTTP 400", status=400, retryable=False)]
+def test_rename_transport_failure_aborts_verification():
+    # Steps 1-2 pass, step 3 fails, so verification asks for a rename; the
+    # failed rename request must abort, not dismiss the candidate.
+    oracle, transport, _ = make_oracle(
+        [
+            reply("Subcategory"),
+            reply("Subcategory"),
+            reply("No"),
+            TransportError("HTTP 400", status=400, retryable=False),
+        ]
     )
-    assert oracle.rename_from_description(CTX, "Apple", "desc") is None
+    with pytest.raises(TransportError):
+        verify(oracle, CTX, "Apple", "Goats")
+    assert len(transport.bodies) == 4
+    assert not transport.script
 
 
 def test_subcategory_direction_through_the_oracle():
