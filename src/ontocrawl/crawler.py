@@ -161,14 +161,15 @@ class Crawler:
         if self.query_log is not None:
             self.query_log.record(op="explore", concept=c_name, depth=concept.depth)
 
-        explore_ctx = self._context(
-            parent_name=self.discovered_from.get(cid),
-            names=[self.config.seed_name, self.discovered_from.get(cid), c_name],
+        ctx = OracleContext(
+            self.config.seed_name,
+            self.discovered_from.get(cid),
+            known=self.hierarchy.description_of,
         )
         try:
-            if self.oracle.has_subconcepts(explore_ctx, c_name):
+            if self.oracle.has_subconcepts(ctx, c_name):
                 candidates = self.oracle.list_subconcepts(
-                    explore_ctx, c_name, self.config.ft, self.config.n_samples
+                    ctx, c_name, self.config.ft, self.config.n_samples
                 )
                 self._process_candidates(cid, c_name, candidates)
         except TransportError:
@@ -198,18 +199,6 @@ class Crawler:
 
     # ------------------------------------------------------------------
 
-    def _context(
-        self, parent_name: str | None, names: list[str | None]
-    ) -> OracleContext:
-        """A context carrying the descriptions of the named known concepts."""
-        known: dict[str, str | None] = {}
-        for name in names:
-            cid = self.hierarchy.find_by_name(name) if name else None
-            if cid is not None:
-                known[name] = self.hierarchy.concept(cid).description
-        ctx = OracleContext(seed_name=self.config.seed_name, parent_name=parent_name)
-        return ctx.with_descriptions(known)
-
     def _process_candidates(
         self, cid: int, c_name: str, candidates: list[str]
     ) -> None:
@@ -226,13 +215,21 @@ class Crawler:
         if not names:
             return
 
-        base_ctx = self._context(parent_name=c_name, names=[self.config.seed_name, c_name])
-        descriptions = self.oracle.describe(base_ctx, names)
+        # One context serves the whole listing.  The description prompt is
+        # rendered before it holds any listing text; every later prompt sees
+        # describe()'s result.
+        descriptions: dict[str, str] = {}
+        ctx = OracleContext(
+            self.config.seed_name,
+            c_name,
+            descriptions,
+            known=self.hierarchy.description_of,
+        )
+        descriptions.update(self.oracle.describe(ctx, names))
 
         for cand in names:
             if self._at_capacity():
                 return
-            ctx = base_ctx.with_descriptions({cand: descriptions.get(cand)})
             existing = self.hierarchy.find_by_name(cand)
             if existing is not None:
                 insertion.record_rediscovery(
@@ -250,6 +247,8 @@ class Crawler:
                     self.hierarchy, self.oracle, ctx, existing, cid
                 )
                 continue
+            # Brute force would ask both directions against every concept.
+            baseline = 2 * len(self.hierarchy)
             placement = insertion.insert(
                 self.hierarchy,
                 self.oracle,
@@ -260,7 +259,7 @@ class Crawler:
                 query_log=self.query_log,
             )
             self.probes_issued += placement.probes_issued
-            self.probe_baseline += placement.probes_issued + placement.probes_saved
+            self.probe_baseline += baseline
             if placement.concept_id is not None:
                 self.discovered_from[placement.concept_id] = c_name
 

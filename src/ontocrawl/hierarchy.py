@@ -9,10 +9,12 @@ its descendants, in topological order: every edge it adds or drops has its
 lower end there.  Depths can rise as well as fall, because the new edge can
 make a shorter direct edge redundant and drop it.  Synonym merges rebuild
 closure, reduction and depths from scratch.  A load takes the stored edges and
-depths as they are, derives the closure from the edges, and refuses the
-document when ``verify_integrity`` finds a cycle, a redundant edge, a wrong
-depth or a bad name.  One concept may carry several names (a canonical name
-plus synonyms); name lookups are whitespace- and case-insensitive.
+depths as they are, derives the closure from the edges once, and refuses the
+document on a cycle, a redundant edge, a wrong depth or a bad name: the
+checks of ``verify_integrity`` but its closure comparison, which on a load
+would compare the derivation with itself.  One concept may carry several
+names (a canonical name plus synonyms); name lookups are whitespace- and
+case-insensitive.
 
 Every mutation marks what it touched in a change set: the concept ids whose
 record (``concept_record``) may differ, and the direct edges that may have
@@ -113,6 +115,11 @@ class ConceptHierarchy:
 
     def find_by_name(self, name: str) -> int | None:
         return self._names.get(normalize_name(name))
+
+    def description_of(self, name: str) -> str | None:
+        """The stored description of the concept named ``name``, or None."""
+        cid = self._names.get(normalize_name(name))
+        return None if cid is None else self._concepts[cid].description
 
     def direct_parents(self, cid: int) -> set[int]:
         self._require(cid)
@@ -347,7 +354,7 @@ class ConceptHierarchy:
     @classmethod
     def from_json_dict(cls, data: dict) -> "ConceptHierarchy":
         """Load a hierarchy document.  Its records are taken as stored and
-        ``verify_integrity`` is the one structural check; a document that
+        ``_verify_records`` is the one structural check; a document that
         cannot be parsed or fails that check raises CheckpointError."""
         if not isinstance(data, dict):
             raise CheckpointError("hierarchy document must be a JSON object")
@@ -410,7 +417,7 @@ class ConceptHierarchy:
         h._reset_frontier()
         h._changed_ids, h._changed_edges = set(h._concepts), set(h._edge_origin)
         try:
-            h.verify_integrity()
+            h._verify_records()
         except IntegrityError as exc:
             raise CheckpointError(f"hierarchy document is not a valid DAG: {exc}") from exc
         return h
@@ -424,13 +431,18 @@ class ConceptHierarchy:
         return cls.from_json_dict(data)
 
     # ------------------------------------------------------------------
-    # integrity (the one structural check of a load, and a debug aid: full
-    # recomputation, compared to live state)
+    # integrity (a debug aid: full recomputation, compared to live state)
 
     def verify_integrity(self) -> None:
         up, down = self._closure_by_bfs()
         if up != self._up or down != self._down:
             raise IntegrityError("incremental closure disagrees with BFS recomputation")
+        self._verify_records()
+
+    def _verify_records(self) -> None:
+        """Refuse a cycle, a redundant edge, a wrong depth or a bad name
+        index, given a closure derived from the current edges.  The one
+        structural check of a load, whose closure is that derivation."""
         for cid in self._concepts:
             if cid in self._up[cid]:
                 raise IntegrityError("closure contains a cycle")

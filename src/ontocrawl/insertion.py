@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import contextlib
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Container, Mapping
 
 from .errors import CycleError, OracleParseError
@@ -48,15 +48,15 @@ class Placement:
     children: set[int] = field(default_factory=set)
     synonym_of: int | None = None
     probes_issued: int = 0
-    probes_saved: int = 0
     dropped_edges: list[tuple[str, str]] = field(default_factory=list)
 
 
 class _ProbeSession:
-    """Counts probes and injects the probed concept's description per query.
+    """Counts probes and asks them about the new concept ``name``.
 
     ``probe_up`` and ``probe_down`` take a batch of concept ids and return
-    their answers in the same order.
+    their answers in the same order.  Every probe shares one context, whose
+    ``known`` reads the probed concept's description from the hierarchy.
     """
 
     def __init__(
@@ -72,13 +72,10 @@ class _ProbeSession:
         self.name = name
         self.issued = 0
 
-    def _probed(self, cid: int) -> tuple[OracleContext, str]:
-        """Count a probe of ``cid``: the context carrying its description,
-        and its name."""
-        other = self.h.concept(cid)
-        self.issued += 1
-        ctx = self.ctx.with_descriptions({other.canonical_name: other.description})
-        return ctx, other.canonical_name
+    def _probed(self, cids: list[int]) -> list[str]:
+        """Count the probes of ``cids`` and return their names."""
+        self.issued += len(cids)
+        return [self.h._concepts[cid].canonical_name for cid in cids]
 
     def _ask(self, questions: list[tuple[OracleContext, str, str]]) -> list[bool]:
         batch = getattr(self.oracle, "are_subcategories", None)
@@ -88,13 +85,11 @@ class _ProbeSession:
 
     def probe_up(self, cids: list[int]) -> list[bool]:
         """Does each existing concept in ``cids`` subsume the new one?"""
-        probed = map(self._probed, cids)
-        return self._ask([(ctx, self.name, other) for ctx, other in probed])
+        return self._ask([(self.ctx, self.name, o) for o in self._probed(cids)])
 
     def probe_down(self, cids: list[int]) -> list[bool]:
         """Is each existing concept in ``cids`` below the new one?"""
-        probed = map(self._probed, cids)
-        return self._ask([(ctx, other, self.name) for ctx, other in probed])
+        return self._ask([(self.ctx, o, self.name) for o in self._probed(cids)])
 
 
 # The searches read the hierarchy's adjacency sets directly rather than
@@ -210,11 +205,10 @@ def insert(
     """Classify ``name`` against the hierarchy and wire it in.
 
     ``entry`` is the concept whose listing produced the name; the edge to it
-    is trusted.  Returns the placement, including probe accounting
-    (``probes_saved`` is measured against the brute-force classifier that
-    asks both directions for every existing concept).
+    is trusted.  Every prompt of the insert reads stored descriptions from
+    ``h``.  Returns the placement, including the number of probes issued.
     """
-    pre_n = len(h)
+    ctx = replace(ctx, known=h.description_of)
     session = _ProbeSession(h, oracle, ctx, name)
 
     def phase(label: str):
@@ -232,7 +226,7 @@ def insert(
     for d in sorted(parents & children):
         d_name = h.concept(d).canonical_name
         if oracle.interchangeable(ctx, name, d_name):
-            return _absorb(h, placement, name, description, d, parents, children, pre_n, session)
+            return _absorb(h, placement, name, description, d, parents, children)
         try:
             sub, _sup = oracle.subcategory_direction(ctx, name, d_name)
         except OracleParseError:
@@ -277,7 +271,6 @@ def insert(
     placement.concept_id = cid
     placement.parents = set(parents)
     placement.children = set(h.direct_children(cid))
-    placement.probes_saved = 2 * pre_n - session.issued
     return placement
 
 
@@ -289,8 +282,6 @@ def _absorb(
     target: int,
     parents: set[int],
     children: set[int],
-    pre_n: int,
-    session: _ProbeSession,
 ) -> Placement:
     """The new name denotes an existing concept: merge names, keep new edges."""
     if h.find_by_name(name) != target:
@@ -315,8 +306,6 @@ def _absorb(
                 (h.concept(e).canonical_name, concept.canonical_name)
             )
     placement.synonym_of = target
-    placement.probes_issued = session.issued
-    placement.probes_saved = 2 * pre_n - session.issued
     return placement
 
 

@@ -50,7 +50,7 @@ class PromptTemplate:
     """A named prompt body with placeholder slots.
 
     ``concept_slots`` lists, in order of appearance, the placeholders whose
-    bound values are concept names; their stored descriptions get appended as
+    bound values are concept names; their descriptions get appended as
     ``Name: description.`` lines.  ``context_prefix`` marks templates that
     carry the two discovery-context sentences.
     """
@@ -158,7 +158,8 @@ def render(
     bindings: dict[str, str],
     ctx: OracleContext | None = None,
 ) -> str:
-    """Substitute ``bindings`` into a template and append known descriptions.
+    """Substitute ``bindings`` into a template and, given a context, append
+    the description ``ctx.description_of`` picks for each concept slot.
 
     The discovery-context sentences degenerate at the top of the hierarchy and
     are dropped there: the first when D coincides with the seed, both when C
@@ -189,7 +190,7 @@ def render(
     for slot in slots:
         prompt = prompt.replace("{" + slot + "}", str(bindings[slot]))
 
-    if ctx is not None and ctx.descriptions:
+    if ctx is not None:
         lines = []
         seen: set[str] = set()
         for slot in tpl.concept_slots:
@@ -637,33 +638,21 @@ class ChatCompletionOracle:
     def sample_first_tokens(
         self, prompt: str, n_samples: int, *, template_name: str = "listing"
     ) -> dict[str, int]:
-        """Frequency map of first completion tokens over ``n_samples`` draws.
-
-        Individual draws that exhaust their retries are dropped; the shortfall
-        is logged rather than raised.
+        """Frequency map of the non-blank first completion tokens over
+        ``n_samples`` draws.  A draw that exhausts its retries raises, like
+        any other request, rather than lowering the counts.
         """
         counts: dict[str, int] = {}
-        failures = 0
 
-        def one(_: int) -> str | None:
-            try:
-                return self.complete(
-                    prompt, self.sampling_params, template_name=template_name
-                ).text
-            except TransportError:
-                return None
+        def one(_: int) -> str:
+            return self.complete(
+                prompt, self.sampling_params, template_name=template_name
+            ).text
 
         for text in self._map(one, range(n_samples)):
-            if text is None:
-                failures += 1
-                continue
             token = text.strip()
             if token:
                 counts[token] = counts.get(token, 0) + 1
-        if failures:
-            logger.warning(
-                "first-token sampling lost %d of %d draws", failures, n_samples
-            )
         return counts
 
     # -- contract ------------------------------------------------------------

@@ -16,14 +16,18 @@ import logging
 import random
 import threading
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import Mapping, Protocol, runtime_checkable
+from typing import Callable, Mapping, Protocol, runtime_checkable
 
 from .errors import InvalidInputError
 from .hierarchy import normalize_name
 
 logger = logging.getLogger(__name__)
+
+
+def _nothing_stored(name: str) -> str | None:
+    return None
 
 
 @dataclass(frozen=True)
@@ -32,35 +36,30 @@ class OracleContext:
 
     ``seed_name`` is the crawl root.  ``parent_name`` is the superconcept the
     current concept (or candidate list) was discovered from; None at the seed.
-    ``descriptions`` maps concept names to short texts that prompt-based
-    oracles attach for disambiguation.
+    Prompt-based oracles attach a short description to each concept name
+    they mention, for disambiguation, and ``description_of`` picks it by one
+    rule: a stored concept shows its stored text, looked up through
+    ``known`` (the crawler binds ``ConceptHierarchy.description_of``, read
+    live); any other name, such as a candidate, shows the text filed under
+    it in ``descriptions`` (its listing text).
     """
 
     seed_name: str
     parent_name: str | None = None
     descriptions: Mapping[str, str] = field(default_factory=dict)
+    known: Callable[[str], str | None] = _nothing_stored
 
     def description_of(self, name: str) -> str | None:
-        """The first non-empty description filed under ``name`` (compared
-        normalized), or None."""
+        """The stored text of ``name``, else the first non-empty text filed
+        under it in ``descriptions`` (compared normalized), else None."""
+        text = self.known(name)
+        if text:
+            return text
         key = normalize_name(name)
         for cand, text in self.descriptions.items():
             if text and normalize_name(cand) == key:
                 return text
         return None
-
-    def with_descriptions(self, named: Mapping[str, str | None]) -> "OracleContext":
-        """This context with the non-empty texts of ``named`` added in order.
-
-        A name already present keeps its position and takes the new text.
-        Prompts and cache keys depend on that order.
-        """
-        added = {name: text for name, text in named.items() if text}
-        if not added:
-            return self
-        return OracleContext(
-            self.seed_name, self.parent_name, {**self.descriptions, **added}
-        )
 
 
 @runtime_checkable
@@ -362,16 +361,10 @@ class NoiseModel:
     p_nontransitive_denial: float = 0.0
 
     def __post_init__(self):
-        for name in (
-            "p_hallucinated_edge",
-            "p_missing_edge",
-            "p_wrong_relation",
-            "p_attribute_inflation",
-            "p_nontransitive_denial",
-        ):
-            p = getattr(self, name)
-            if not 0.0 <= p <= 1.0:
-                raise InvalidInputError(f"{name} must be within [0, 1], got {p}")
+        for f in fields(self):
+            p = getattr(self, f.name)
+            if f.name.startswith("p_") and not 0.0 <= p <= 1.0:
+                raise InvalidInputError(f"{f.name} must be within [0, 1], got {p}")
 
 
 _INFLATION_PREFIXES = ("Specialized", "Traditional", "Modern", "Hybrid")

@@ -116,10 +116,9 @@ def verify(oracle: KnowledgeOracle, ctx: OracleContext, d: str, c: str) -> Verdi
     if not new_name or normalize_name(new_name) == normalize_name(d):
         return Verdict(REJECTED, reason=REASON_RENAME_FAILED, transcript=transcript)
 
-    ctx2 = replace(
-        ctx,
-        descriptions={**dict(ctx.descriptions), new_name: description or ""},
-    )
+    # The second pass names only the new name, the seed and c; the new name
+    # carries d's description unless it names a stored concept.
+    ctx2 = replace(ctx, descriptions={new_name: description or ""})
     reason2, _ = _run_steps(oracle, ctx2, new_name, c, transcript)
     if reason2 is None:
         return Verdict(ACCEPTED_RENAMED, new_name=new_name, transcript=transcript)

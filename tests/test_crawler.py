@@ -19,6 +19,7 @@ from ontocrawl import (
     NoiseModel,
     OracleContext,
     QueryLog,
+    insertion,
 )
 from ontocrawl.crawler import (
     _journal_index,
@@ -831,3 +832,99 @@ def test_prompt_driven_crawl_matches_the_mock_crawl(goats):
     assert llm_crawler.rejections == mock_crawler.rejections == []
     assert llm_crawler.probes_issued == mock_crawler.probes_issued
     assert transport.requests > 0
+
+
+class FailingDrawTransport(TaxonomyTransport):
+    """Counts first-token draws and fails draw number ``at`` (from 0), if
+    given, non-retryably."""
+
+    def __init__(self, taxonomy: GroundTruthTaxonomy, at: int | None = None):
+        super().__init__(taxonomy)
+        self.at = at
+        self.draws = 0
+
+    def send(self, body: dict) -> dict:
+        if body["max_tokens"] == 1:
+            with self._lock:
+                fail = self.draws == self.at
+                self.draws += 1
+            if fail:
+                raise TransportError("HTTP 400", status=400, retryable=False)
+        return super().send(body)
+
+
+def test_a_failed_first_token_draw_aborts_and_resumes_exactly(goats, tmp_path):
+    """At every first-token draw of the crawl, a failed request aborts it
+    instead of lowering the token counts, and the resumed crawl ends where
+    an uninterrupted one does.  Only the ledger differs: the interrupted
+    step is asked again."""
+
+    def llm_crawler(transport, **kwargs) -> Crawler:
+        oracle = ChatCompletionOracle(
+            transport, params=CompletionParams(), ledger=CostLedger(), max_in_flight=1
+        )
+        config = CrawlConfig(seed_name="Goats", ft=3, n_samples=3)
+        return Crawler(config, oracle, ledger=oracle.ledger, **kwargs)
+
+    def outcome(crawler: Crawler) -> dict:
+        data = crawler.to_checkpoint_dict()
+        del data["ledger"]
+        return data
+
+    counting = FailingDrawTransport(goats)
+    uninterrupted = llm_crawler(counting)
+    uninterrupted.run()
+    expected = outcome(uninterrupted)
+    assert counting.draws and counting.draws % 3 == 0  # three per listing
+    for k in range(counting.draws):
+        path = tmp_path / f"draw-{k}.json"
+        failing = FailingDrawTransport(goats, at=k)
+        with pytest.raises(CrawlAbortedError):
+            llm_crawler(failing, checkpoint_path=path).run()
+        assert failing.draws == k + 1
+        oracle = ChatCompletionOracle(
+            TaxonomyTransport(goats), params=CompletionParams(), max_in_flight=1
+        )
+        resumed = Crawler.from_checkpoint(
+            load_checkpoint(path), oracle, checkpoint_path=path
+        )
+        oracle.ledger = resumed.ledger
+        resumed.run()
+        assert outcome(resumed) == expected, k
+
+
+def test_a_crawl_builds_two_contexts_per_step_and_one_per_insert(goats, monkeypatch):
+    """Stored descriptions are read live, so no context is rebuilt per
+    candidate or per probe."""
+    built = 0
+    init = OracleContext.__init__
+
+    def counting_init(self, *args, **kwargs):
+        nonlocal built
+        built += 1
+        init(self, *args, **kwargs)
+
+    inserts = 0
+    insert = insertion.insert
+
+    def counting_insert(*args, **kwargs):
+        nonlocal inserts
+        inserts += 1
+        return insert(*args, **kwargs)
+
+    per_step: list[tuple[int, int]] = []
+    step = Crawler.step
+
+    def counting_step(self):
+        before = built, inserts
+        more = step(self)
+        per_step.append((built - before[0], inserts - before[1]))
+        return more
+
+    monkeypatch.setattr(OracleContext, "__init__", counting_init)
+    monkeypatch.setattr(insertion, "insert", counting_insert)
+    monkeypatch.setattr(Crawler, "step", counting_step)
+    crawler = run_mock_crawl(goats)
+    assert len(crawler.hierarchy) == 14 and inserts == 13
+    assert all(contexts <= 2 + n for contexts, n in per_step), per_step
+    assert max(contexts - n for contexts, n in per_step) == 2

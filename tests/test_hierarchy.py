@@ -446,12 +446,12 @@ def test_from_json_rejects_malformed_documents():
 
 
 def test_a_load_checks_each_stored_edge_once(monkeypatch):
-    """verify_integrity is a load's one structural check: one redundancy
-    test per stored edge and one depth pass."""
+    """A load derives the closure once and makes one structural check: one
+    redundancy test per stored edge and one depth pass."""
     rng = random.Random(11)
     n = 150
     doc = build_hierarchy(daggen.random_dag(rng, n), n).to_json_dict()
-    calls = {"_reachable_without": 0, "_depths_by_bfs": 0}
+    calls = {"_closure_by_bfs": 0, "_reachable_without": 0, "_depths_by_bfs": 0}
     for name in calls:
         original = getattr(ConceptHierarchy, name)
 
@@ -462,6 +462,7 @@ def test_a_load_checks_each_stored_edge_once(monkeypatch):
         monkeypatch.setattr(ConceptHierarchy, name, counting)
     ConceptHierarchy.from_json_dict(doc)
     assert calls == {
+        "_closure_by_bfs": 1,
         "_reachable_without": len(doc["direct_edges"]),
         "_depths_by_bfs": 1,
     }

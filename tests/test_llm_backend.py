@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from ontocrawl import (
     ChatCompletionOracle,
     CompletionParams,
+    ConceptHierarchy,
     CostLedger,
     OracleContext,
     QueryLog,
@@ -156,6 +157,24 @@ def test_render_appends_known_descriptions_with_final_period():
     )
     # Slot order (C, C0, D); the seed has no stored description.
     assert prompt.endswith("\nDairy Goats: Kept for milk.\nSaanen: A Swiss dairy breed.")
+
+
+def test_render_shows_a_stored_concepts_text_and_a_candidates_listing_text():
+    h = ConceptHierarchy("Goats")
+    h.add_concept("Dairy Goats", [h.seed_id], description="Kept for milk.")
+    bindings = {"C0": "Goats", "C": "Dairy Goats", "D": "Saanen"}
+    stored_only = OracleContext(seed_name="Goats", known=h.description_of)
+    assert render("verify_subcat", bindings, stored_only).endswith(
+        "yes or no.\nDairy Goats: Kept for milk."
+    )
+    listed = OracleContext(
+        seed_name="Goats",
+        descriptions={"dairy goats": "Listed for milk.", "Saanen": "A Swiss breed"},
+        known=h.description_of,
+    )
+    assert render("verify_subcat", bindings, listed).endswith(
+        "yes or no.\nDairy Goats: Kept for milk.\nSaanen: A Swiss breed."
+    )
 
 
 def test_render_skips_duplicate_and_unknown_description_names():
@@ -405,18 +424,22 @@ def test_backoff_delay_is_capped():
 # sampling and listing through the oracle
 
 
-def test_sample_first_tokens_counts_and_drops_failures():
+def test_sample_first_tokens_skips_blanks_and_raises_on_a_failed_draw():
+    script = [reply("Dairy"), reply("  "), reply("Dairy"), reply("Meat")]
+    oracle, transport, _ = make_oracle(script)
+    assert oracle.sample_first_tokens("List.", 4) == {"Dairy": 2, "Meat": 1}
+    assert len(transport.bodies) == 4
+
     script = [
-        reply("Dairy"),
-        reply("Dairy"),
+        reply("Saanen"),
         TransportError("HTTP 400", status=400, retryable=False),
-        reply("  "),
-        reply("Meat"),
+        reply("Saanen"),
     ]
     oracle, transport, _ = make_oracle(script)
-    counts = oracle.sample_first_tokens("List.", 5)
-    assert counts == {"Dairy": 2, "Meat": 1}
-    assert len(transport.bodies) == 5
+    with pytest.raises(TransportError):
+        oracle.list_subconcepts(CTX, "Dairy Goats", 2, 3)
+    # The failure stops the draws: no listing prompt, plain or continued.
+    assert [body["max_tokens"] for body in transport.bodies] == [1, 1]
 
 
 @pytest.mark.parametrize("max_in_flight", [0, -2])

@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 import json
 import random
+import re
 import sys
 import threading
 
@@ -193,6 +194,24 @@ def test_under_seed_tracks_fixture_membership(goats):
 
 # ---------------------------------------------------------------------------
 # seeded noise
+
+
+@pytest.mark.parametrize(
+    "name",
+    [
+        "p_hallucinated_edge",
+        "p_missing_edge",
+        "p_wrong_relation",
+        "p_attribute_inflation",
+        "p_nontransitive_denial",
+    ],
+)
+def test_every_noise_probability_must_lie_in_the_unit_interval(name):
+    for p in (-0.25, 1.5):
+        message = f"{name} must be within [0, 1], got {p}"
+        with pytest.raises(InvalidInputError, match=re.escape(message)):
+            NoiseModel(**{name: p})
+    assert getattr(NoiseModel(**{name: 1.0}), name) == 1.0
 
 
 FULL_NOISE = NoiseModel(
