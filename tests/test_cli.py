@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
+import random
 import shutil
 from pathlib import Path
 
@@ -20,6 +22,7 @@ from ontocrawl.cli import (
 from ontocrawl.errors import OracleParseError, TransportError
 from ontocrawl.hierarchy import ConceptHierarchy
 
+import daggen
 from conftest import FIXTURES
 from owl_check import doc_matches_hierarchy, parse_owl
 from support import RaisingOracle, make_mock_crawler
@@ -323,3 +326,69 @@ def test_validate_fixture_rejects_a_cycle(tmp_path, capsys):
     )
     assert main(["validate-fixture", str(bad)]) == EXIT_CONFIG
     assert "cycle" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# byte identity
+
+
+def pinned_fixtures() -> dict[str, dict]:
+    """Goats and the first 20 noise-free random DAGs of acceptance criterion 2."""
+    fixtures = {"goats": json.loads(GOATS.read_text(encoding="utf-8"))}
+    for i in range(20):
+        rng = random.Random(9000 + i)
+        n = rng.randint(10, 50)
+        fixtures[f"c2-{i:02d}"] = daggen.to_fixture(
+            daggen.random_dag(rng, n, max_outdegree=5)
+        )
+    return fixtures
+
+
+def crawl_digest(fixture: dict, work: Path) -> str:
+    """SHA-256 over every file ``ontocrawl crawl`` writes, by file name.
+
+    The lines of ``queries.jsonl`` are sorted: probes sent in one round may
+    log in any order."""
+    (work / "fixture.json").write_text(json.dumps(fixture), encoding="utf-8")
+    argv = ["crawl", "--seed", fixture["root"], "--oracle", "mock:fixture.json"]
+    assert main([*argv, "--out-dir", "out"]) == EXIT_OK
+    digest = hashlib.sha256()
+    for path in sorted((work / "out").iterdir()):
+        raw = path.read_bytes()
+        if path.name == "queries.jsonl":
+            raw = b"".join(sorted(raw.splitlines(keepends=True)))
+        digest.update(f"{path.name}\0{len(raw)}\0".encode("utf-8") + raw)
+    return digest.hexdigest()
+
+
+# Recorded from mock crawls; a change that alters any output file, the set of
+# files or the multiset of logged queries changes the digest.
+PINNED_DIGESTS = {
+    "c2-00": "0f3c93f5f6f256d77ad227e9b31c586cd5bf3d13d991cee3fd7c6f8fa0b3eefa",
+    "c2-01": "a841948b1918a134fc8c68b6a000fe2dca4f201e7ba999e64db12937a7529578",
+    "c2-02": "bc3c8035cd5ce80e37f9e28768cca4af5bbb84fdd0d8fac52a6902c4393156cc",
+    "c2-03": "1c23b145747aa09f9222e9baeef72e65b4fdb3af8f88ce2eb42c84d5161aa748",
+    "c2-04": "10af316801091df3ea88b12cbdf5e361f3c719f2fe5149122b8426dd01d867c5",
+    "c2-05": "e4448eee7e5bc5584e5ce0e65aa6a3400c269d25d69e97081b97fe59ba94879e",
+    "c2-06": "27efcdb1fc0da6813365cfbdcf1f3af9c9df1d65baf9aa1fdffc1a07d5cedc2a",
+    "c2-07": "7d40aa357795b5826b11a647809475c828ad2df9171eed80497be80d765496c7",
+    "c2-08": "2f9e1cfcfb7cb4d6867ca7875256797859bc8d59a402e4356a3fff84170d97fb",
+    "c2-09": "8444e9892332b8ee53cc3b9d8777c1e9be56b26b687569457f9a837b979279c3",
+    "c2-10": "c92c3115f51aa65553018e0e4b78698b2819b100b2fdfeb3d5d5de1294a39ba1",
+    "c2-11": "dd604bf06c9342578c007ade6c08b57ca3bb40ed8cd2356c15b5f5b786bc819d",
+    "c2-12": "bb87e34ea9aa9a25e6653d547997863f482b08b8f87124844a1e47f1e74b92b7",
+    "c2-13": "6557ececc3d7e5a9c58c484d1b7fd5f5cbbf1113ad2cc4584067a27e842df37c",
+    "c2-14": "949d86a2789f3e210d74a83197ad72315b7648384a966fa22db2bfca6e2be0d8",
+    "c2-15": "15b8a7b965547c9efdd524a86ed53f81ce3060c6d0cbec5017d9be2407a2e6b1",
+    "c2-16": "56e8735073720e71fa664bee3c5e8c951eb5d78e9ff3dc4db98f8dee59bdb688",
+    "c2-17": "7b4b0a128c3e8ed34f8f94c593a8d9ceb7f8442fb03089e457e058701fbc7395",
+    "c2-18": "582b96e9a58c6a129e5229c7e018ef68d209111515c7898e0292e847ed202d62",
+    "c2-19": "987df5326663b93ede49b7b6d51a9ee549592a9d8d5cb3d681f598c0bc7aad71",
+    "goats": "2982c4d91b4c15b7804f871cdfd6baf97843abf2a4f2069b23626a86a4d8b020",
+}
+
+
+@pytest.mark.parametrize("name", sorted(pinned_fixtures()))
+def test_crawl_outputs_are_byte_identical_to_the_pinned_run(name, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert crawl_digest(pinned_fixtures()[name], tmp_path) == PINNED_DIGESTS[name]
