@@ -8,11 +8,12 @@ unrecoverable oracle failure aborts the run resumably.
 
 Every exploration commits to the checkpoint.  The first commit writes the
 full snapshot (the base); each later one appends one JSON line to a journal
-beside it (``<checkpoint>.journal``) holding the delta from the previous
-commit.  The delta is built from the hierarchy's change set (the concepts and
-edges its mutations marked since the last commit) and the ``discovered_from``
-entries and rejections added since, each compared with the committed state,
-so a commit costs what the step changed, not the size of the hierarchy.
+beside it (``<checkpoint>.journal``) holding the after-image of every concept
+and edge the hierarchy's change set marked since the last commit (its key alone,
+under ``removed`` or ``dropped``, once it is gone) and the ``discovered_from``
+entries and rejections added since.  Replaying an unchanged record or removing
+an absent key is a no-op, so a commit costs what the step touched, not the size
+of the hierarchy; a synonym merge rebuilds, and so journals, every record.
 ``run()`` compacts the journal into the snapshot when it ends, so the journal
 exists only mid-run; ``load_checkpoint`` replays a journal left behind by an
 interrupted run onto its base.
@@ -139,8 +140,8 @@ class Crawler:
         self.explorations = 0
         self.probes_issued = 0
         self.probe_baseline = 0
-        # The journal index of the last commit; None until the base is written.
-        self._committed: dict | None = None
+        # Committed ``discovered_from`` entries and rejections; None before the base.
+        self._committed_counts: tuple[int, int] | None = None
         self._rewrite_rejection_file()
 
     # ------------------------------------------------------------------
@@ -315,59 +316,41 @@ class Crawler:
 
     def _commit(self) -> None:
         """Persist the current state: the base on the first commit, a journal
-        line holding the delta from the previous commit after that.  Without
-        a checkpoint there is nothing to persist, but the change set is still
-        drained so that it stays as small as one step's changes."""
+        line after that.  Without a checkpoint there is nothing to persist,
+        but the change set is still drained so that it stays as small as one
+        step's changes."""
         if self.checkpoint_path is None:
             self.hierarchy.take_changes()
             return
         journal = journal_path(self.checkpoint_path)
-        if self._committed is None:
+        if self._committed_counts is None:
             data = self.to_checkpoint_dict()
             self.hierarchy.take_changes()  # the base holds them all
             digest = save_checkpoint(data, self.checkpoint_path)
             with journal.open("w", encoding="utf-8") as fh:
                 fh.write(_jsonl({"base": digest}))
-            self._committed = _journal_index(data)
-            return
-        line = self._journal_line()
-        with journal.open("a", encoding="utf-8") as fh:
-            fh.write(_jsonl(line))
-        _journal_apply(self._committed, line)
+        else:
+            with journal.open("a", encoding="utf-8") as fh:
+                fh.write(_jsonl(self._journal_line()))
+        self._committed_counts = (len(self.discovered_from), len(self.rejections))
 
     def _journal_line(self) -> dict:
-        """The delta from the committed index to the current state, read from
-        the records marked or added since the last commit."""
+        """The records marked or added since the last commit, as they stand."""
         h = self.hierarchy
         ids, edges = h.take_changes()
-        old_concepts, old_edges = self._committed["concepts"], self._committed["edges"]
-        concepts, removed = [], []
-        for cid in sorted(ids):
-            if cid in h:
-                rec = h.concept_record(cid)
-                if old_concepts.get(cid) != rec:
-                    concepts.append(rec)
-            elif cid in old_concepts:
-                removed.append(cid)
-        added, dropped = [], []
-        for c, p in sorted(edges):
-            if h.has_edge(c, p):
-                origin = h.edge_origin(c, p)
-                if (c, p) not in old_edges or old_edges[(c, p)] != origin:
-                    added.append([c, p, origin])
-            elif (c, p) in old_edges:
-                dropped.append([c, p])
+        ids, edges = sorted(ids), sorted(edges)
+        committed_from, committed_rejections = self._committed_counts
         # Entries are only ever added to ``discovered_from``, so the new ones
         # are its tail.
-        fresh = len(self.discovered_from) - len(self._committed["discovered_from"])
+        fresh = len(self.discovered_from) - committed_from
         tail = itertools.islice(reversed(self.discovered_from.items()), fresh)
         return {
-            "concepts": concepts,
-            "removed": removed,
-            "edges": added,
-            "dropped": dropped,
+            "concepts": [h.concept_record(cid) for cid in ids if cid in h],
+            "removed": [cid for cid in ids if cid not in h],
+            "edges": [[c, p, h.edge_origin(c, p)] for c, p in edges if h.has_edge(c, p)],
+            "dropped": [[c, p] for c, p in edges if not h.has_edge(c, p)],
             "discovered_from": {str(k): v for k, v in reversed(list(tail))},
-            "rejections": self.rejections[len(self._committed["rejections"]):],
+            "rejections": self.rejections[committed_rejections:],
             "ledger": self.ledger.to_dict(),
             "counters": self._counters(),
         }
@@ -378,7 +361,7 @@ class Crawler:
             return
         save_checkpoint(self.to_checkpoint_dict(), self.checkpoint_path)
         journal_path(self.checkpoint_path).unlink(missing_ok=True)
-        self._committed = None
+        self._committed_counts = None
 
     @classmethod
     def from_checkpoint(
@@ -461,15 +444,16 @@ def _journal_index(data: dict) -> dict:
 
 
 def _journal_apply(state: dict, line: dict) -> None:
+    """Replay one line onto a journal index; it may remove keys the index lacks."""
     concepts, edges = state["concepts"], state["edges"]
     for rec in line["concepts"]:
         concepts[rec["id"]] = rec
     for cid in line["removed"]:
-        del concepts[cid]
+        concepts.pop(cid, None)
     for c, p, origin in line["edges"]:
         edges[(c, p)] = origin
     for c, p in line["dropped"]:
-        del edges[(c, p)]
+        edges.pop((c, p), None)
     state["discovered_from"].update(line["discovered_from"])
     state["rejections"].extend(line["rejections"])
     state["ledger"], state["counters"] = line["ledger"], line["counters"]

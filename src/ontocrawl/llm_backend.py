@@ -17,11 +17,10 @@ import os
 import re
 import threading
 import time
-from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
-from typing import Protocol
+from typing import ClassVar, Protocol
 
 from .errors import (
     InvalidInputError,
@@ -237,14 +236,7 @@ _WORD_RE = re.compile(r"[A-Za-z]+")
 
 def parse_yes_no(text: str) -> bool:
     """First alphabetic word decides; anything else is a parse error."""
-    m = _WORD_RE.search(text or "")
-    if m:
-        word = m.group(0).casefold()
-        if word == "yes":
-            return True
-        if word == "no":
-            return False
-    raise OracleParseError(f"expected yes/no, got {text!r}")
+    return parse_keyword(text, {"yes": True, "no": False})
 
 
 def parse_keyword(text: str, options: dict[str, bool]) -> bool:
@@ -326,16 +318,19 @@ class CompletionParams:
 
 
 DEFAULT_SAMPLING_TEMPERATURE = 2.0
+BACKOFF_BASE = 0.5  # seconds before the first retry; each retry doubles it
 
 
 @dataclass
 class CostLedger:
-    """Accumulates request counts, token usage and spend."""
+    """Accumulates request counts, token usage and spend; ``add`` is thread safe."""
 
     requests: int = 0
     prompt_tokens: int = 0
     completion_tokens: int = 0
     dollars: float = 0.0
+    # A class attribute, so that it is neither a field nor serialized.
+    _lock: ClassVar[threading.Lock] = threading.Lock()
 
     def add(
         self,
@@ -344,12 +339,13 @@ class CostLedger:
         prompt_price: float = 0.0,
         completion_price: float = 0.0,
     ) -> None:
-        self.requests += 1
-        self.prompt_tokens += prompt_tokens
-        self.completion_tokens += completion_tokens
-        self.dollars += (
-            prompt_tokens * prompt_price + completion_tokens * completion_price
-        )
+        with self._lock:
+            self.requests += 1
+            self.prompt_tokens += prompt_tokens
+            self.completion_tokens += completion_tokens
+            self.dollars += (
+                prompt_tokens * prompt_price + completion_tokens * completion_price
+            )
 
     def to_dict(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self)}
@@ -466,10 +462,9 @@ class ChatCompletionOracle:
     the cost ledger and appends one query-log record per request.
 
     First-token sampling and ``are_subcategories`` send their requests
-    concurrently.  ``max_in_flight`` bounds how many requests are in flight at
-    once, counting the calling thread: it works items itself, helped by at
-    most ``max_in_flight - 1`` threads of one pool that the oracle creates on
-    first use and keeps.  With ``max_in_flight=1`` no thread is started.
+    concurrently, through the ``max_in_flight`` threads of one pool that the
+    oracle creates on first use and keeps, so at most that many requests are
+    in flight at once.  With ``max_in_flight=1`` no thread is started.
     """
 
     def __init__(
@@ -477,13 +472,11 @@ class ChatCompletionOracle:
         transport: ChatTransport | None = None,
         *,
         params: CompletionParams | None = None,
-        sampling_temperature: float = DEFAULT_SAMPLING_TEMPERATURE,
         price_table: dict[str, tuple[float, float]] | None = None,
         cache: ResponseCache | None = None,
         query_log: QueryLog | None = None,
         ledger: CostLedger | None = None,
         max_retries: int = 5,
-        backoff_base: float = 0.5,
         backoff_cap: float = 30.0,
         max_in_flight: int = 8,
         sleep=time.sleep,
@@ -491,7 +484,7 @@ class ChatCompletionOracle:
         self.transport = transport or HttpChatTransport()
         self.params = params or CompletionParams()
         self.sampling_params = replace(
-            self.params, temperature=sampling_temperature, max_tokens=1
+            self.params, temperature=DEFAULT_SAMPLING_TEMPERATURE, max_tokens=1
         )
         self.price_table = dict(price_table or DEFAULT_PRICE_TABLE)
         self.cache = cache or ResponseCache()
@@ -500,65 +493,60 @@ class ChatCompletionOracle:
         if max_in_flight < 1:
             raise InvalidInputError(f"max_in_flight must be >= 1, got {max_in_flight}")
         self.max_retries = max_retries
-        self.backoff_base = backoff_base
         self.backoff_cap = backoff_cap
         self.max_in_flight = max_in_flight
         self._sleep = sleep
-        self._ledger_lock = threading.Lock()
         self._pool: ThreadPoolExecutor | None = None
         self._pool_lock = threading.Lock()
 
     def _map(self, fn, items) -> list:
         """``[fn(x) for x in items]``, with up to ``max_in_flight`` calls at once.
 
-        The calling thread takes items in order alongside at most
-        ``max_in_flight - 1`` pool workers.  After a call raises, no further
-        item is started; the calls already running finish, and the exception
-        of the earliest failed item is raised.
+        After a call raises, no further item is started; the calls already
+        running finish, and the exception of the earliest failed item is raised.
         """
         items = list(items)
-        helpers = min(self.max_in_flight, len(items)) - 1
-        if helpers < 1:
+        if min(self.max_in_flight, len(items)) < 2:
             return [fn(x) for x in items]
-        results: list = [None] * len(items)
-        errors: dict[int, Exception] = {}
-        todo = deque(range(len(items)))
-        claim = threading.Lock()
+        stop, running = False, 0
+        idle = threading.Condition()
 
-        def drain() -> None:
-            while True:
-                with claim:
-                    if not todo:
-                        return
-                    i = todo.popleft()
-                try:
-                    results[i] = fn(items[i])
-                except Exception as exc:
-                    with claim:
-                        errors[i] = exc
-                        todo.clear()
+        def call(x):
+            nonlocal stop, running
+            with idle:
+                if stop:
+                    return None
+                running += 1
+            try:
+                return fn(x)
+            except BaseException:
+                stop = True
+                raise
+            finally:
+                with idle:
+                    running -= 1
+                    idle.notify_all()
 
         with self._pool_lock:
             if self._pool is None:
                 # Looked up at call time, so a patched module name takes effect.
                 self._pool = ThreadPoolExecutor(
-                    max_workers=self.max_in_flight - 1,
+                    max_workers=self.max_in_flight,
                     thread_name_prefix="ontocrawl-oracle",
                 )
             pool = self._pool
-        futures = [pool.submit(drain) for _ in range(helpers)]
         try:
-            drain()
+            futures = [pool.submit(call, x) for x in items]
+            # An item skipped after a failure returns None; it can come
+            # before the failed one, whose result() raises.
+            return [future.result() for future in futures]
         finally:
-            # Also when the calling thread is interrupted: start nothing new
-            # and wait for the calls already running.
-            with claim:
-                todo.clear()
-            for future in futures:
-                future.result()
-        if errors:
-            raise errors[min(errors)]
-        return results
+            # Also when the calling thread is interrupted, even inside
+            # submit() with its item queued but no future returned: start
+            # nothing new and wait for the calls already running.
+            with idle:
+                stop = True
+                idle.wait_for(lambda: not running)
 
     # -- low level ---------------------------------------------------------
 
@@ -593,7 +581,7 @@ class ChatCompletionOracle:
         last_error: TransportError | None = None
         for attempt in range(self.max_retries + 1):
             if attempt:
-                delay = min(self.backoff_base * 2 ** (attempt - 1), self.backoff_cap)
+                delay = min(BACKOFF_BASE * 2 ** (attempt - 1), self.backoff_cap)
                 self._sleep(delay)
             started = time.monotonic()
             try:
@@ -615,8 +603,7 @@ class ChatCompletionOracle:
             pt = int(usage.get("prompt_tokens", 0))
             ct = int(usage.get("completion_tokens", 0))
             prices = self.price_table.get(params.model, (0.0, 0.0))
-            with self._ledger_lock:
-                self.ledger.add(pt, ct, prices[0], prices[1])
+            self.ledger.add(pt, ct, prices[0], prices[1])
             if self.query_log is not None:
                 self.query_log.record(
                     template_name=template_name,

@@ -393,7 +393,6 @@ class MockOracle:
         self.renames = {k.strip(): v for k, v in (renames or {}).items()}
         self.query_log = query_log
         self.ledger = ledger
-        self._ledger_lock = threading.Lock()
 
     # -- plumbing ---------------------------------------------------------
 
@@ -407,8 +406,7 @@ class MockOracle:
 
     def _done(self, op: str, answer: object, **args: object) -> None:
         if self.ledger is not None:
-            with self._ledger_lock:
-                self.ledger.add()
+            self.ledger.add()
         if self.query_log is not None:
             self.query_log.record(op=op, **args, answer=answer)
 

@@ -200,8 +200,7 @@ def test_one_pool_per_oracle_over_a_whole_crawl(goats, tmp_path, monkeypatch, ma
     crawler = llm_crawler(goats, tmp_path, TaxonomyTransport(goats), max_in_flight)
     crawler.run()
     assert len(crawler.hierarchy) == 14
-    # The calling thread is the max_in_flight-th sender.
-    assert created == ([] if max_in_flight == 1 else [max_in_flight - 1])
+    assert created == ([] if max_in_flight == 1 else [max_in_flight])
 
 
 class FailingTransport(TaxonomyTransport):

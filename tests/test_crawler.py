@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 import json
 import random
 
@@ -21,7 +22,9 @@ from ontocrawl import (
     QueryLog,
     insertion,
 )
+from ontocrawl import crawler as crawler_mod
 from ontocrawl.crawler import (
+    _journal_apply,
     _journal_index,
     hierarchy_from_checkpoint,
     journal_path,
@@ -405,9 +408,14 @@ def _journal_delta(prev: dict, cur: dict) -> dict:
     }
 
 
+RECORD_KEYS = ("concepts", "removed", "edges", "dropped")
+
+
 def crawl_checking_journal_lines(crawler, before_step=lambda step: None) -> list[dict]:
-    """Crawl to the end; every journal line must equal, byte for byte, the
-    reference delta between the checkpoint dicts of consecutive steps."""
+    """Crawl to the end; the reference deltas between the checkpoint dicts of
+    consecutive steps.  Every journal line must turn the previous index into
+    the current one, hold every entry of the reference delta, and hold no
+    other record that would change the previous index."""
     journal = journal_path(crawler.checkpoint_path)
     lines, prev, steps = [], None, 0
     while True:
@@ -418,10 +426,22 @@ def crawl_checking_journal_lines(crawler, before_step=lambda step: None) -> list
         cur = _journal_index(crawler.to_checkpoint_dict())
         if prev is not None:
             expected = _journal_delta(prev, cur)
-            written = journal.read_bytes().splitlines(keepends=True)[-1]
-            assert written == (
-                json.dumps(expected, ensure_ascii=False) + "\n"
-            ).encode("utf-8"), steps
+            written = json.loads(journal.read_bytes().splitlines()[-1])
+            replayed = copy.deepcopy(prev)
+            _journal_apply(replayed, written)
+            assert replayed == cur, steps
+            for key in ("discovered_from", "rejections", "ledger", "counters"):
+                assert written[key] == expected[key], (steps, key)
+            for key in RECORD_KEYS:
+                assert all(e in written[key] for e in expected[key]), (steps, key)
+                others = {k: [] for k in RECORD_KEYS}
+                others[key] = [e for e in written[key] if e not in expected[key]]
+                unchanged = copy.deepcopy(prev)
+                _journal_apply(
+                    unchanged,
+                    {**prev, **others, "discovered_from": {}, "rejections": []},
+                )
+                assert unchanged == prev, (steps, key)
             lines.append(expected)
         prev = cur
 
@@ -533,6 +553,22 @@ def test_commits_never_rebuild_the_whole_checkpoint(tmp_path, monkeypatch):
     crawler.run()
     assert crawler.explorations == 300
     assert rebuilt_at == [1, 300]
+
+
+def test_a_crawl_keeps_no_mirror_of_the_checkpoint(tmp_path, monkeypatch):
+    """A commit writes what the step touched without holding, or updating, a
+    second copy of the committed state."""
+    edges = daggen.random_dag(random.Random(300), 300, max_outdegree=5)
+    crawler = make_mock_crawler(
+        GroundTruthTaxonomy.from_json_dict(daggen.to_fixture(edges)),
+        checkpoint_path=tmp_path / "run.json",
+    )
+    called = []
+    for name in ("_journal_index", "_journal_apply"):
+        monkeypatch.setattr(crawler_mod, name, lambda *_, name=name: called.append(name))
+    crawler.run()
+    assert crawler.explorations == 300
+    assert called == []
 
 
 def write_journaled_checkpoint(goats, tmp_path, steps: int) -> list[dict]:

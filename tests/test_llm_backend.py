@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import signal
+import threading
 import time
 
 import pytest
@@ -466,6 +468,32 @@ def test_map_keeps_item_order_and_stops_at_a_failure():
     # Item 1 is claimed before item 5, so it always runs and its error wins.
     assert exc.value.args == (1,)
     assert len(ran) < 12
+
+
+def test_map_stops_and_waits_when_the_caller_is_interrupted():
+    """A SIGINT while items run: nothing new starts, and ``_map`` returns
+    only once no call is running."""
+    oracle = ChatCompletionOracle(StubTransport([]), max_in_flight=3)
+    lock = threading.Lock()
+    started, running = [], [0]
+
+    def fn(x):
+        with lock:
+            started.append(x)
+            running[0] += 1
+        try:
+            if x == 2:
+                signal.pthread_kill(threading.main_thread().ident, signal.SIGINT)
+            time.sleep(0.02)
+            return x
+        finally:
+            with lock:
+                running[0] -= 1
+
+    with pytest.raises(KeyboardInterrupt):
+        oracle._map(fn, range(12))
+    assert len(started) < 12
+    assert running[0] == 0
 
 
 def test_list_subconcepts_validates_the_threshold():
