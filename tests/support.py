@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import random
 import re
 import threading
 from pathlib import Path
@@ -17,6 +18,17 @@ from ontocrawl import (
 )
 from ontocrawl.llm_backend import CostLedger
 from ontocrawl.oracle import QueryLog
+
+
+def c2_dag(i: int) -> tuple[int, list[tuple[int, int]]]:
+    """Random DAG ``i`` of acceptance criterion 2, as ``(n, edges)``."""
+    rng = random.Random(9000 + i)
+    n = rng.randint(10, 50)
+    return n, daggen.random_dag(rng, n, max_outdegree=5)
+
+
+def c2_taxonomy(i: int) -> GroundTruthTaxonomy:
+    return GroundTruthTaxonomy.from_json_dict(daggen.to_fixture(c2_dag(i)[1]))
 
 
 def build_hierarchy(edges: list[tuple[int, int]], n: int) -> ConceptHierarchy:
