@@ -147,9 +147,8 @@ def _load_config(args: argparse.Namespace) -> CrawlConfig:
         merged["max_concepts"] = args.max_concepts
     if args.oracle is not None:
         merged["oracle"] = args.oracle
-    if args.model is not None:
-        merged.setdefault("params", {})
-        merged["params"] = {**merged["params"], "model": args.model}
+    if args.model is not None and isinstance(merged.get("params", {}), dict):
+        merged["params"] = {**merged.get("params", {}), "model": args.model}
     if "seed_name" not in merged:
         raise ConfigError("a seed is required (--seed or config file)")
     return CrawlConfig.from_dict(merged)

@@ -31,15 +31,25 @@ from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 from . import insertion
-from .errors import CheckpointError, ConfigError, CrawlAbortedError, TransportError
+from .errors import (
+    CheckpointError,
+    ConfigError,
+    CrawlAbortedError,
+    InvalidInputError,
+    TransportError,
+)
 from .hierarchy import ConceptHierarchy, normalize_name
-from .llm_backend import CostLedger
+from .llm_backend import CompletionParams, CostLedger
 from .oracle import KnowledgeOracle, OracleContext, QueryLog
 from .verification import verify
 
 logger = logging.getLogger(__name__)
 
 CHECKPOINT_WRAPPER_VERSION = 1
+
+
+def _is_int(value: object) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 @dataclass
@@ -61,6 +71,19 @@ class CrawlConfig:
     def validate(self) -> None:
         if not isinstance(self.seed_name, str) or not self.seed_name.strip():
             raise ConfigError("seed_name must be a non-empty string")
+        for name in ("exploration_depth", "ft", "n_samples", "max_concepts"):
+            value = getattr(self, name)
+            unbounded = value is None and name in ("exploration_depth", "max_concepts")
+            if not (_is_int(value) or unbounded):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
+        if not isinstance(self.oracle, str):
+            raise ConfigError(f"oracle must be a string, got {self.oracle!r}")
+        if not isinstance(self.params, dict):
+            raise ConfigError(f"params must be an object, got {self.params!r}")
+        try:
+            CompletionParams(**self.params)
+        except (TypeError, InvalidInputError) as exc:
+            raise ConfigError(f"params {self.params!r}: {exc}") from exc
         if self.exploration_depth is not None and self.exploration_depth < 1:
             raise ConfigError("exploration_depth must be >= 1 or unbounded (None)")
         if self.n_samples < 1:
@@ -88,8 +111,8 @@ class CrawlConfig:
         if "seed_name" not in data:
             raise ConfigError("config needs a seed_name")
         cfg = cls(**data)
-        cfg.params = dict(cfg.params)
         cfg.validate()
+        cfg.params = dict(cfg.params)
         return cfg
 
 
@@ -231,18 +254,16 @@ class Crawler:
         for cand in names:
             if self._at_capacity():
                 return
+            final_name = cand
             existing = self.hierarchy.find_by_name(cand)
-            if existing is not None:
-                insertion.record_rediscovery(
-                    self.hierarchy, self.oracle, ctx, existing, cid
-                )
-                continue
-            verdict = verify(self.oracle, ctx, cand, c_name)
-            if not verdict.accepted:
-                self._reject(cand, c_name, verdict)
-                continue
-            final_name = verdict.new_name if verdict.new_name else cand
-            existing = self.hierarchy.find_by_name(final_name)
+            if existing is None:
+                verdict = verify(self.oracle, ctx, cand, c_name)
+                if not verdict.accepted:
+                    self._reject(cand, c_name, verdict)
+                    continue
+                # A renamed candidate may name a concept we already have.
+                final_name = verdict.new_name or cand
+                existing = self.hierarchy.find_by_name(final_name)
             if existing is not None:
                 insertion.record_rediscovery(
                     self.hierarchy, self.oracle, ctx, existing, cid

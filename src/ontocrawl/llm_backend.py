@@ -446,6 +446,18 @@ class HttpChatTransport:
         return resp.json()
 
 
+def _reply_text(data) -> str:
+    """``choices[0].message.content`` of a reply body; a body without that
+    string fails like a dropped connection, retryably."""
+    try:
+        text = data["choices"][0]["message"]["content"]
+    except (KeyError, IndexError, TypeError):
+        text = None
+    if not isinstance(text, str):
+        raise TransportError(f"malformed reply body: {str(data)[:200]}")
+    return text
+
+
 @dataclass
 class CompletionResult:
     text: str
@@ -586,6 +598,7 @@ class ChatCompletionOracle:
             started = time.monotonic()
             try:
                 data = self.transport.send(body)
+                text = _reply_text(data)
             except TransportError as exc:
                 last_error = exc
                 logger.warning(
@@ -598,8 +611,7 @@ class ChatCompletionOracle:
                     break
                 continue
             latency_ms = (time.monotonic() - started) * 1000.0
-            text = data["choices"][0]["message"]["content"]
-            usage = data.get("usage", {})
+            usage = data.get("usage") or {}
             pt = int(usage.get("prompt_tokens", 0))
             ct = int(usage.get("completion_tokens", 0))
             prices = self.price_table.get(params.model, (0.0, 0.0))

@@ -1,10 +1,12 @@
-"""Shared helpers: canned mock crawls, scripted transports, oracle wrappers."""
+"""Shared helpers: canned mock crawls, fake chat transports, oracle wrappers."""
 
 from __future__ import annotations
 
 import random
 import re
 import threading
+import time
+from collections import Counter
 from pathlib import Path
 
 import daggen
@@ -16,7 +18,13 @@ from ontocrawl import (
     MockOracle,
     NoiseModel,
 )
-from ontocrawl.llm_backend import CostLedger
+from ontocrawl.errors import TransportError
+from ontocrawl.llm_backend import (
+    CONTEXT_SENTENCE_PARENT,
+    CONTEXT_SENTENCE_SELF,
+    TEMPLATES,
+    CostLedger,
+)
 from ontocrawl.oracle import QueryLog
 
 
@@ -177,70 +185,103 @@ class StubTransport:
         return item
 
 
-class TaxonomyTransport:
-    """Answers chat-completion prompts straight from a ground-truth fixture.
+def _template_patterns() -> list[tuple[str, re.Pattern]]:
+    """``(template name, pattern)`` pairs inverting ``llm_backend.render``: one
+    per body and number of context sentences, slots as named groups, a slot's
+    second use as a backreference, and trailing description lines allowed."""
+    parent, own = CONTEXT_SENTENCE_PARENT + " ", CONTEXT_SENTENCE_SELF + " "
+    out = []
+    for tpl in TEMPLATES.values():
+        for prefix in ["", own, parent + own] if tpl.context_prefix else [""]:
+            seen: set[str] = set()
+            parts = re.split(r"\{(\w+)\}", prefix + tpl.body)
+            regex = re.escape(parts[0])
+            for slot, text in zip(parts[1::2], parts[2::2]):
+                regex += f"(?P={slot})" if slot in seen else f"(?P<{slot}>.+?)"
+                regex += re.escape(text)
+                seen.add(slot)
+            out.append((tpl.name, re.compile(regex + r"(?:\n.*)*")))
+    return out
 
-    First-token sampling requests (max_tokens=1) return the first word of the
-    queried concept's first child, so exactly one token passes the frequency
-    threshold and its continuation carries the full child list.  Prompts no
-    clean crawl should ever send (rename, synonym questions) raise.
+
+_PATTERNS = _template_patterns()
+
+
+def decode(prompt: str) -> tuple[str, dict[str, str]]:
+    """The template name and slot bindings ``render`` made ``prompt`` from;
+    AssertionError unless exactly one pattern matches."""
+    found = [
+        (name, m.groupdict()) for name, p in _PATTERNS if (m := p.fullmatch(prompt))
+    ]
+    if len(found) != 1:
+        names = [name for name, _ in found]
+        raise AssertionError(f"prompt matches templates {names}: {prompt!r}")
+    return found[0]
+
+
+class TaxonomyTransport:
+    """Answers chat-completion prompts straight from a ground-truth fixture,
+    by the template name and bindings ``decode`` reads from each prompt.
+
+    A first-token draw (max_tokens=1) returns the first word of the listed
+    concept's first child, so exactly one token passes the threshold.  Rename
+    and synonym prompts, which no clean crawl sends, raise.  Every request
+    sleeps ``latency_s``; ``fail(template_name, bindings)``, asked under the
+    lock, refuses it non-retryably by returning True.  ``peak`` and
+    ``peak_by_template`` gauge the most requests ever in flight at once.
     """
 
-    def __init__(self, taxonomy: GroundTruthTaxonomy):
+    def __init__(
+        self, taxonomy: GroundTruthTaxonomy, *, latency_s: float = 0.0, fail=None
+    ):
         self.taxonomy = taxonomy
-        self.requests = 0
+        self.latency_s = latency_s
+        self.fail = fail
+        self.requests = self.peak = 0
+        self.in_flight: Counter[str] = Counter()
+        self.peak_by_template: Counter[str] = Counter()
         self._lock = threading.Lock()
 
     def send(self, body: dict) -> dict:
+        name, b = decode(body["messages"][0]["content"])
         with self._lock:
+            if self.fail is not None and self.fail(name, b):
+                raise TransportError("HTTP 400", status=400, retryable=False)
             self.requests += 1
-        prompt = body["messages"][0]["content"]
-        if body["max_tokens"] == 1:
-            kids = self.taxonomy.children_of(self._listed_concept(prompt))
-            return reply(kids[0].split()[0] if kids else "None")
-        return reply(self._answer(prompt))
-
-    @staticmethod
-    def _between(text: str, left: str, right: str) -> str:
-        m = re.search(re.escape(left) + r"(.+?)" + re.escape(right), text)
-        if m is None:
-            raise AssertionError(f"could not parse prompt: {text!r}")
-        return m.group(1)
-
-    def _listed_concept(self, prompt: str) -> str:
-        return self._between(
-            prompt, "List all of the most important subcategories of ", ". Skip"
-        )
-
-    def _answer(self, prompt: str) -> str:
-        tax = self.taxonomy
-        if "Are there any generally accepted subcategories of " in prompt:
-            c = self._between(
-                prompt, "Are there any generally accepted subcategories of ", "? Answer"
+            self.in_flight[name] += 1
+            self.peak = max(self.peak, self.in_flight.total())
+            self.peak_by_template[name] = max(
+                self.peak_by_template[name], self.in_flight[name]
             )
-            return "Yes" if tax.children_of(c) else "No"
-        if "List all of the most important subcategories of " in prompt:
-            return ", ".join(tax.children_of(self._listed_concept(prompt)))
-        if "Give a brief description of every term on the list" in prompt:
-            terms = prompt.splitlines()[1].split(", ")
+        try:
+            if self.latency_s:
+                time.sleep(self.latency_s)
+            return reply(self._answer(name, b, draw=body["max_tokens"] == 1))
+        finally:
+            with self._lock:
+                self.in_flight[name] -= 1
+
+    def _answer(self, name: str, b: dict[str, str], draw: bool) -> str:
+        tax = self.taxonomy
+        yes_no = lambda ok: "Yes" if ok else "No"
+        if name in ("listing", "listing_continuation"):
+            kids = tax.children_of(b["C"])
+            if draw:
+                return kids[0].split()[0] if kids else "None"
+            return ", ".join(kids)
+        if name == "existence":
+            return yes_no(tax.children_of(b["C"]))
+        if name == "description":
             return "\n".join(
                 f"{t}: {tax.description_for(t) or f'A kind of {tax.root}.'}"
-                for t in terms
+                for t in b["terms"].split(", ")
             )
-        if " a specific instance or a subcategory of the category " in prompt:
-            d = self._between(prompt, "Is ", " a specific instance")
-            return "Instance" if tax.is_instance_name(d) else "Subcategory"
-        if " a part or a subcategory of the category " in prompt:
-            d = self._between(prompt, "Is ", " a part or a subcategory")
-            return "Part" if tax.is_part_name(d) else "Subcategory"
-        if " be considered a subcategory of " in prompt:
-            d = self._between(prompt, "Can ", " be considered")
-            c0 = self._between(prompt, " be considered a subcategory of ", "? Answer")
-            return "Yes" if tax.has_name(d) and tax.reaches(d, c0) else "No"
-        if " typically understood as a subcategory of " in prompt:
-            d = self._between(prompt, "Is ", " typically understood")
-            c = self._between(
-                prompt, " typically understood as a subcategory of ", "? Answer"
-            )
-            return "Yes" if tax.reaches(d, c) else "No"
-        raise AssertionError(f"unscripted prompt: {prompt!r}")
+        if name == "verify_instance":
+            return "Instance" if tax.is_instance_name(b["D"]) else "Subcategory"
+        if name == "verify_part":
+            return "Part" if tax.is_part_name(b["D"]) else "Subcategory"
+        if name == "verify_seed":
+            return yes_no(tax.has_name(b["D"]) and tax.reaches(b["D"], b["C0"]))
+        if name == "verify_subcat":
+            return yes_no(tax.reaches(b["D"], b["C"]))
+        raise AssertionError(f"unscripted prompt: {name} {b}")

@@ -47,6 +47,7 @@ from owl_check import OwlDoc, parse_owl
 from support import (
     StubTransport,
     build_hierarchy,
+    c2_dag,
     edge_names,
     hierarchy_from_taxonomy,
     make_mock_crawler,
@@ -93,9 +94,7 @@ def random_trials():
     trials = []
     start = time.perf_counter()
     for i in range(100):
-        rng = random.Random(9000 + i)
-        n = rng.randint(10, 50)
-        edges = daggen.random_dag(rng, n, max_outdegree=5)
+        n, edges = c2_dag(i)
         taxonomy = GroundTruthTaxonomy.from_json_dict(daggen.to_fixture(edges))
         crawler = make_mock_crawler(taxonomy)
         crawler.run()

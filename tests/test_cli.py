@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import random
 import shutil
 from pathlib import Path
 
@@ -25,7 +24,7 @@ from ontocrawl.hierarchy import ConceptHierarchy
 import daggen
 from conftest import FIXTURES
 from owl_check import doc_matches_hierarchy, parse_owl
-from support import RaisingOracle, make_mock_crawler
+from support import RaisingOracle, c2_dag, make_mock_crawler
 
 GOATS = FIXTURES / "goats.json"
 
@@ -143,7 +142,17 @@ BAD_INVOCATIONS = (
     "config not json",
     "config not an object",
     "unknown config field",
+    "threshold not an integer",
+    "params not an object",
+    "unknown completion parameter",
 )
+
+CONFIG_BODIES = {
+    "unknown config field": '{"seed_name": "Goats", "bogus": 1}',
+    "threshold not an integer": '{"seed_name": "Goats", "ft": "3", "n_samples": 10}',
+    "params not an object": '{"seed_name": "Goats", "params": [1, 2]}',
+    "unknown completion parameter": '{"seed_name": "Goats", "params": {"temp": 0.5}}',
+}
 
 
 @pytest.mark.parametrize("case", BAD_INVOCATIONS)
@@ -167,7 +176,7 @@ def test_bad_invocations_exit_with_config_error(case, tmp_path, capsys):
     elif case == "config not an object":
         argv = ["crawl", "--config", _cfg_file(tmp_path, "[1, 2]"), *out]
     else:
-        body = '{"seed_name": "Goats", "bogus": 1}'
+        body = CONFIG_BODIES[case]
         argv = ["crawl", "--config", _cfg_file(tmp_path, body), *out]
     assert main(argv) == EXIT_CONFIG
     assert "configuration error:" in capsys.readouterr().err
@@ -336,11 +345,7 @@ def pinned_fixtures() -> dict[str, dict]:
     """Goats and the first 20 noise-free random DAGs of acceptance criterion 2."""
     fixtures = {"goats": json.loads(GOATS.read_text(encoding="utf-8"))}
     for i in range(20):
-        rng = random.Random(9000 + i)
-        n = rng.randint(10, 50)
-        fixtures[f"c2-{i:02d}"] = daggen.to_fixture(
-            daggen.random_dag(rng, n, max_outdegree=5)
-        )
+        fixtures[f"c2-{i:02d}"] = daggen.to_fixture(c2_dag(i)[1])
     return fixtures
 
 

@@ -3,12 +3,8 @@
 from __future__ import annotations
 
 import json
-import random
 import sys
-import threading
-import time
 
-import daggen
 import pytest
 
 from ontocrawl import (
@@ -17,17 +13,15 @@ from ontocrawl import (
     CostLedger,
     Crawler,
     CrawlConfig,
-    GroundTruthTaxonomy,
     OracleContext,
     QueryLog,
     cli,
     llm_backend,
 )
 from ontocrawl.crawler import load_checkpoint
-from ontocrawl.errors import CrawlAbortedError, TransportError
-from support import TaxonomyTransport
+from ontocrawl.errors import CrawlAbortedError
+from support import TaxonomyTransport, c2_taxonomy
 
-PROBE = " typically understood as a subcategory of "
 OUTPUT_FILES = (
     "hierarchy.owl",
     "hierarchy.dot",
@@ -48,17 +42,6 @@ class BatchRecordingOracle(ChatCompletionOracle):
     def are_subcategories(self, questions):
         self.batches.append([(d, c) for _ctx, d, c in questions])
         return super().are_subcategories(questions)
-
-
-def c2_taxonomies(count: int) -> list[GroundTruthTaxonomy]:
-    """The first ``count`` random DAGs of acceptance criterion 2."""
-    out = []
-    for i in range(count):
-        rng = random.Random(9000 + i)
-        n = rng.randint(10, 50)
-        edges = daggen.random_dag(rng, n, max_outdegree=5)
-        out.append(GroundTruthTaxonomy.from_json_dict(daggen.to_fixture(edges)))
-    return out
 
 
 def llm_crawler(taxonomy, out_dir, transport, max_in_flight, *, query_log=None, data=None):
@@ -108,7 +91,7 @@ def sorted_records(path) -> list[str]:
 
 
 def test_concurrent_waves_write_the_outputs_of_a_sequential_crawl(goats, tmp_path):
-    taxonomies = [goats, *c2_taxonomies(20)]
+    taxonomies = [goats, *map(c2_taxonomy, range(20))]
     for i, taxonomy in enumerate(taxonomies):
         wide = crawl_to_files(taxonomy, tmp_path / f"wide{i}", max_in_flight=4)
         crawl_to_files(taxonomy, tmp_path / f"narrow{i}", max_in_flight=1)
@@ -121,36 +104,9 @@ def test_concurrent_waves_write_the_outputs_of_a_sequential_crawl(goats, tmp_pat
         )
 
 
-class GaugedTransport(TaxonomyTransport):
-    """Sleeps on every request and keeps the peak number in flight, overall
-    and among insertion-shaped subcategory questions."""
-
-    def __init__(self, taxonomy, latency_s: float):
-        super().__init__(taxonomy)
-        self.latency_s = latency_s
-        self.in_flight = self.probes_in_flight = 0
-        self.peak = self.probe_peak = 0
-        self._gauge = threading.Lock()
-
-    def send(self, body: dict) -> dict:
-        probe = PROBE in body["messages"][0]["content"]
-        with self._gauge:
-            self.in_flight += 1
-            self.probes_in_flight += probe
-            self.peak = max(self.peak, self.in_flight)
-            self.probe_peak = max(self.probe_peak, self.probes_in_flight)
-        try:
-            time.sleep(self.latency_s)
-            return super().send(body)
-        finally:
-            with self._gauge:
-                self.in_flight -= 1
-                self.probes_in_flight -= probe
-
-
 @pytest.mark.parametrize("max_in_flight", [1, 2, 3])
 def test_requests_in_flight_never_exceed_the_bound(goats, tmp_path, max_in_flight):
-    transport = GaugedTransport(goats, latency_s=0.005)
+    transport = TaxonomyTransport(goats, latency_s=0.005)
     crawler = llm_crawler(goats, tmp_path, transport, max_in_flight)
     crawler.run()
     assert len(crawler.hierarchy) == 14
@@ -160,7 +116,7 @@ def test_requests_in_flight_never_exceed_the_bound(goats, tmp_path, max_in_fligh
     else:
         # Verification asks one subcategory question at a time, so overlapping
         # ones are the probes of one insertion wave.
-        assert transport.probe_peak > 1
+        assert transport.peak_by_template["verify_subcat"] > 1
 
 
 def test_a_wide_batch_loses_no_answer_or_count(goats):
@@ -203,43 +159,34 @@ def test_one_pool_per_oracle_over_a_whole_crawl(goats, tmp_path, monkeypatch, ma
     assert created == ([] if max_in_flight == 1 else [max_in_flight])
 
 
-class FailingTransport(TaxonomyTransport):
-    """Refuses the first prompt containing ``fragment`` for good, and counts
-    how often such a prompt was asked."""
-
-    def __init__(self, taxonomy, fragment: str):
-        super().__init__(taxonomy)
-        self.fragment = fragment
-        self.asked = 0
-
-    def send(self, body: dict) -> dict:
-        if self.fragment in body["messages"][0]["content"]:
-            with self._lock:
-                first = not self.asked
-                self.asked += 1
-            if first:
-                raise TransportError("HTTP 400", status=400, retryable=False)
-        return super().send(body)
-
-
 def test_a_failed_probe_in_a_wave_aborts_resumably(tmp_path):
-    taxonomy = c2_taxonomies(1)[0]
+    taxonomy = c2_taxonomy(0)
     reference = llm_crawler(taxonomy, tmp_path / "ref", TaxonomyTransport(taxonomy), 4)
     reference.run()
     wave = next(b for b in reference.oracle.batches if len(b) > 1)
     d, c = wave[1]
 
+    asked = 0
+
+    def fail(name, b):
+        # Refuse the first asking of one probe of that wave for good.
+        nonlocal asked
+        if name == "verify_subcat" and (b["D"], b["C"]) == (d, c):
+            asked += 1
+            return asked == 1
+        return False
+
     out = tmp_path / "out"
-    transport = FailingTransport(taxonomy, f"Is {d}{PROBE}{c}?")
+    transport = TaxonomyTransport(taxonomy, fail=fail)
     crawler = llm_crawler(taxonomy, out, transport, 4)
     with pytest.raises(CrawlAbortedError):
         crawler.run()
-    assert transport.asked == 1
+    assert asked == 1
     assert crawler.oracle.batches[-1] == wave
 
     resumed = llm_crawler(
         taxonomy, out, transport, 4, data=load_checkpoint(out / "checkpoint.json")
     )
     resumed.run()
-    assert transport.asked == 2
+    assert asked == 2
     assert resumed.hierarchy.to_json_dict() == reference.hierarchy.to_json_dict()

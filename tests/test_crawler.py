@@ -212,6 +212,15 @@ def test_config_validation_battery():
         CrawlConfig(seed_name="Goats", n_samples=0),
         CrawlConfig(seed_name="Goats", max_concepts=0),
         CrawlConfig(seed_name="Goats", oracle="carrier pigeon"),
+        CrawlConfig(seed_name="Goats", ft="3"),
+        CrawlConfig(seed_name="Goats", ft=True),
+        CrawlConfig(seed_name="Goats", n_samples=100.0),
+        CrawlConfig(seed_name="Goats", exploration_depth="2"),
+        CrawlConfig(seed_name="Goats", max_concepts=False),
+        CrawlConfig(seed_name="Goats", oracle=None),
+        CrawlConfig(seed_name="Goats", params=[1, 2]),
+        CrawlConfig(seed_name="Goats", params={"temp": 0.5}),
+        CrawlConfig(seed_name="Goats", params={"temperature": "hot"}),
     ]
     for cfg in bad:
         with pytest.raises(ConfigError):
@@ -870,25 +879,6 @@ def test_prompt_driven_crawl_matches_the_mock_crawl(goats):
     assert transport.requests > 0
 
 
-class FailingDrawTransport(TaxonomyTransport):
-    """Counts first-token draws and fails draw number ``at`` (from 0), if
-    given, non-retryably."""
-
-    def __init__(self, taxonomy: GroundTruthTaxonomy, at: int | None = None):
-        super().__init__(taxonomy)
-        self.at = at
-        self.draws = 0
-
-    def send(self, body: dict) -> dict:
-        if body["max_tokens"] == 1:
-            with self._lock:
-                fail = self.draws == self.at
-                self.draws += 1
-            if fail:
-                raise TransportError("HTTP 400", status=400, retryable=False)
-        return super().send(body)
-
-
 def test_a_failed_first_token_draw_aborts_and_resumes_exactly(goats, tmp_path):
     """At every first-token draw of the crawl, a failed request aborts it
     instead of lowering the token counts, and the resumed crawl ends where
@@ -907,17 +897,30 @@ def test_a_failed_first_token_draw_aborts_and_resumes_exactly(goats, tmp_path):
         del data["ledger"]
         return data
 
-    counting = FailingDrawTransport(goats)
+    def draw_counter(fail_at: int | None = None):
+        """Counts listing requests, all first-token draws here since a first
+        token always passes, and refuses draw ``fail_at`` (from 0) for good."""
+        draws = []
+
+        def fail(name, _bindings):
+            if name != "listing":
+                return False
+            draws.append(name)
+            return len(draws) - 1 == fail_at
+
+        return TaxonomyTransport(goats, fail=fail), draws
+
+    counting, draws = draw_counter()
     uninterrupted = llm_crawler(counting)
     uninterrupted.run()
     expected = outcome(uninterrupted)
-    assert counting.draws and counting.draws % 3 == 0  # three per listing
-    for k in range(counting.draws):
+    assert draws and len(draws) % 3 == 0  # three per listing
+    for k in range(len(draws)):
         path = tmp_path / f"draw-{k}.json"
-        failing = FailingDrawTransport(goats, at=k)
+        failing, failed_draws = draw_counter(fail_at=k)
         with pytest.raises(CrawlAbortedError):
             llm_crawler(failing, checkpoint_path=path).run()
-        assert failing.draws == k + 1
+        assert len(failed_draws) == k + 1
         oracle = ChatCompletionOracle(
             TaxonomyTransport(goats), params=CompletionParams(), max_in_flight=1
         )

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import re
 import signal
+import string
 import threading
 import time
 
@@ -26,7 +28,9 @@ from ontocrawl.errors import (
     TemplateError,
     TransportError,
 )
+from ontocrawl.hierarchy import normalize_name
 from ontocrawl.llm_backend import (
+    TEMPLATES,
     HttpChatTransport,
     parse_csv_list,
     parse_description_lines,
@@ -36,7 +40,7 @@ from ontocrawl.llm_backend import (
     passing_tokens,
     render,
 )
-from support import StubTransport, reply
+from support import StubTransport, decode, reply
 
 CTX = OracleContext(seed_name="Goats")
 
@@ -192,6 +196,44 @@ def test_render_errors():
         render("verify_subcat", {"C": "Dairy Goats"})
     with pytest.raises(TemplateError, match="missing bindings"):
         render("listing_continuation", {"C0": "Goats", "D": "Goats", "C": "X"})
+
+
+NAMES = st.lists(
+    st.text(string.ascii_letters + string.digits + " -", min_size=1, max_size=12)
+    .filter(normalize_name),
+    min_size=4,
+    max_size=4,
+    unique_by=normalize_name,
+)
+
+
+@given(
+    names=NAMES,
+    context=st.sampled_from(["none", "self", "both"]),
+    described=st.booleans(),
+)
+def test_decode_inverts_render_for_every_template(names, context, described):
+    ctx = OracleContext("Goats", descriptions={n: f"About {n}" for n in names})
+    for tpl in TEMPLATES.values():
+        slots = dict.fromkeys(re.findall(r"\{(\w+)\}", tpl.body))
+        if tpl.context_prefix and context != "none":
+            slots.update(D=None, C0=None)
+        bindings = dict(zip(slots, names))
+        want = dict(bindings)
+        if tpl.context_prefix and context == "self":
+            # D is the seed: only "C is a subcategory of D." is rendered, so
+            # C0 cannot be read back.
+            bindings["D"] = want["D"] = want.pop("C0")
+        prompt = render(tpl.name, bindings, ctx if described else None)
+        assert decode(prompt) == (tpl.name, want)
+
+
+def test_decode_refuses_a_prompt_of_no_template():
+    with pytest.raises(AssertionError, match=r"matches templates \[\]"):
+        decode("Is a goat a sheep? Answer only with yes or no.")
+    prompt = render("verify_seed", {"D": "Dairy Goats", "C0": "Goats"})
+    with pytest.raises(AssertionError):
+        decode(prompt.replace("considered", "seen as"))
 
 
 # ---------------------------------------------------------------------------
@@ -393,6 +435,23 @@ def test_retries_exhaust_and_raise_the_last_error():
         oracle.complete("Is it?")
     assert len(transport.bodies) == 3
     assert sleeps == [0.5, 1.0]
+    assert oracle.ledger.requests == 0
+
+
+@pytest.mark.parametrize(
+    "body", [{}, {"choices": []}, {"choices": [{}]}, reply(None), "Yes"]
+)
+def test_a_malformed_reply_body_is_retried_like_a_transport_failure(body):
+    # A null usage is not malformed: it bills no tokens.
+    oracle, transport, sleeps = make_oracle([body, {**reply("Yes"), "usage": None}])
+    assert oracle.complete("Is it?").text == "Yes"
+    assert len(transport.bodies) == 2 and sleeps == [0.5]
+    assert oracle.ledger.requests == 1
+
+    oracle, transport, _ = make_oracle([body] * 3, max_retries=2)
+    with pytest.raises(TransportError, match="malformed reply body"):
+        oracle.complete("Is it?")
+    assert len(transport.bodies) == 3
     assert oracle.ledger.requests == 0
 
 
