@@ -33,7 +33,6 @@ from .errors import (
     OntocrawlError,
     OracleError,
 )
-from .hierarchy import ConceptHierarchy
 from .llm_backend import (
     ChatCompletionOracle,
     CompletionParams,
@@ -243,8 +242,7 @@ def _run_crawl(config: CrawlConfig, out_dir: Path, data: dict | None = None) -> 
 
 
 def _cmd_export(args: argparse.Namespace) -> int:
-    data = load_checkpoint(args.checkpoint)
-    h = ConceptHierarchy.from_json_dict(data.get("hierarchy", data))
+    h = hierarchy_from_checkpoint(load_checkpoint(args.checkpoint))
     if args.format == "owl":
         text = export_mod.to_owl_rdfxml(h, base_iri=args.base_iri)
     elif args.format == "dot":
@@ -261,11 +259,12 @@ def _cmd_export(args: argparse.Namespace) -> int:
 def _cmd_stats(args: argparse.Namespace) -> int:
     data = load_checkpoint(args.checkpoint)
     h = hierarchy_from_checkpoint(data)
-    ledger = CostLedger.from_dict(data.get("ledger", {}))
-    config = None
-    if "config" in data:
-        config = CrawlConfig.from_dict(data["config"])
-    rejected = int(data.get("counters", {}).get("rejections", 0))
+    try:
+        ledger = CostLedger.from_dict(data.get("ledger", {}))
+        config = CrawlConfig.from_dict(data["config"]) if "config" in data else None
+        rejected = int(data.get("counters", {}).get("rejections", 0))
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise CheckpointError(f"malformed checkpoint field: {exc!r}") from None
     stats = export_mod.compute_stats(h, ledger, rejected, config=config)
     sys.stdout.write(export_mod.render_stats_text(stats))
     return EXIT_OK

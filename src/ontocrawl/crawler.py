@@ -105,6 +105,8 @@ class CrawlConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "CrawlConfig":
+        if not isinstance(data, dict):
+            raise ConfigError("config must be a JSON object")
         unknown = set(data) - {f.name for f in fields(cls)}
         if unknown:
             raise ConfigError(f"unknown config fields: {sorted(unknown)}")
@@ -402,31 +404,40 @@ class Crawler:
             )
         try:
             config = CrawlConfig.from_dict(data["config"])
+            ledger = CostLedger.from_dict(data.get("ledger", {}))
+            stored_frontier = set(data.get("frontier", []))
+            discovered_from = {
+                int(k): v for k, v in data.get("discovered_from", {}).items()
+            }
+            counters = data.get("counters", {})
+            explorations, probes_issued, probe_baseline = (
+                int(counters.get(key, 0))
+                for key in ("explorations", "probes_issued", "probe_baseline")
+            )
+            rejections = list(data.get("rejections", []))
         except ConfigError as exc:
             raise CheckpointError(f"checkpoint config invalid: {exc}") from exc
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            raise CheckpointError(f"malformed checkpoint field: {exc!r}") from None
         crawler = cls(
             config,
             oracle,
             query_log=query_log,
-            ledger=CostLedger.from_dict(data.get("ledger", {})),
+            ledger=ledger,
             checkpoint_path=checkpoint_path,
             rejection_path=rejection_path,
         )
         crawler.hierarchy = hierarchy_from_checkpoint(data)
-        stored_frontier = set(data.get("frontier", []))
         actual_frontier = {
             c.id for c in crawler.hierarchy.concepts() if not c.explored
         }
         if stored_frontier != actual_frontier:
             raise CheckpointError("frontier disagrees with explored flags")
-        crawler.discovered_from = {
-            int(k): v for k, v in data.get("discovered_from", {}).items()
-        }
-        counters = data.get("counters", {})
-        crawler.explorations = int(counters.get("explorations", 0))
-        crawler.probes_issued = int(counters.get("probes_issued", 0))
-        crawler.probe_baseline = int(counters.get("probe_baseline", 0))
-        crawler.rejections = list(data.get("rejections", []))
+        crawler.discovered_from = discovered_from
+        crawler.explorations = explorations
+        crawler.probes_issued = probes_issued
+        crawler.probe_baseline = probe_baseline
+        crawler.rejections = rejections
         crawler._rewrite_rejection_file()
         return crawler
 
@@ -435,10 +446,12 @@ def hierarchy_from_checkpoint(data: dict) -> ConceptHierarchy:
     """The hierarchy of checkpoint ``data`` (or of a bare hierarchy document),
     with the origins of its direct edges restored."""
     h = ConceptHierarchy.from_json_dict(data.get("hierarchy", data))
-    current_edges = set(h.direct_edges())
-    for child, parent, origin in data.get("edge_origins", []):
-        if (child, parent) in current_edges:
-            h.set_edge_origin(child, parent, origin)
+    try:
+        for child, parent, origin in data.get("edge_origins", []):
+            if h.has_edge(child, parent):
+                h.set_edge_origin(child, parent, origin)
+    except (TypeError, ValueError) as exc:
+        raise CheckpointError(f"malformed edge origins: {exc!r}") from None
     return h
 
 
@@ -553,6 +566,8 @@ def load_checkpoint(path: str | Path) -> dict:
         data = json.loads(raw)
     except ValueError as exc:
         raise CheckpointError(f"checkpoint is not valid JSON: {exc}") from exc
+    if not isinstance(data, dict):
+        raise CheckpointError("checkpoint must be a JSON object")
     lines = _journal_lines(journal_path(p), hashlib.sha256(raw).hexdigest())
     if not lines:
         return data

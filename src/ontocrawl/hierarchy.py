@@ -7,14 +7,17 @@ are O(1) set lookups.  Depth is the shortest edge distance from the seed in
 the reduction.  An edge addition recomputes depths only over the child and
 its descendants, in topological order: every edge it adds or drops has its
 lower end there.  Depths can rise as well as fall, because the new edge can
-make a shorter direct edge redundant and drop it.  Synonym merges rebuild
-closure, reduction and depths from scratch.  A load takes the stored edges and
-depths as they are, derives the closure from the edges once, and refuses the
-document on a cycle, a redundant edge, a wrong depth or a bad name: the
-checks of ``verify_integrity`` but its closure comparison, which on a load
-would compare the derivation with itself.  One concept may carry several
-names (a canonical name plus synonyms); name lookups are whitespace- and
-case-insensitive.
+make a shorter direct edge redundant and drop it.  One rule decides
+redundancy everywhere: an edge (u, v) is implied when another parent of u
+reaches v, since the reduction of a DAG is unique (Aho, Garey and Ullman,
+1972).  Loads and synonym merges install a whole edge set and derive its
+closure in one topological pass (Kahn, 1962) that refuses a cycle; a merge
+then drops the implied edges and recomputes depths.  A load takes the stored
+depths as they are and refuses the document on a cycle, an implied edge, a
+wrong depth or a bad name: the checks of ``verify_integrity`` but its closure
+comparison, which on a load would compare the derivation with itself.  One
+concept may carry several names (a canonical name plus synonyms); name lookups
+are whitespace- and case-insensitive.
 
 Every mutation marks what it touched in a change set: the concept ids whose
 record (``concept_record``) may differ, and the direct edges that may have
@@ -236,16 +239,12 @@ class ConceptHierarchy:
             self._down[y] |= gained_down
 
         # The new edge may make previously direct edges redundant; only edges
-        # from the child's cone up into the parent's cone can be affected.
-        # Such an edge (u, v) is redundant when another parent of u reaches v.
+        # from the child's cone up into the parent's cone can be affected.  The
+        # new edge itself is not implied: parent was not above child before.
         low = {child} | self._down[child]
         high = {parent} | self._up[parent]
         redundant = sorted(
-            (u, v)
-            for u in low
-            for v in self._parents[u] & high
-            if (u, v) != (child, parent)
-            and any(v in self._up[w] for w in self._parents[u] if w != v)
+            (u, v) for u in low for v in self._parents[u] & high if self._implied(u, v)
         )
         for u, v in redundant:
             self._drop_edge(u, v)
@@ -292,7 +291,7 @@ class ConceptHierarchy:
         for key, cid in list(self._names.items()):
             if cid == loser:
                 self._names[key] = survivor
-        del self._concepts[loser], self._parents[loser], self._children[loser]
+        del self._concepts[loser]
         self._changed_ids.add(loser)
 
         self._rebuild_from_edges(merged_edges)
@@ -378,8 +377,6 @@ class ConceptHierarchy:
             h = cls(by_id[0]["canonical_name"])
             h.seed_id = seed
             h._concepts.clear()
-            h._parents.clear()
-            h._children.clear()
             h._names.clear()
             for rec in by_id:
                 cid, depth = rec["id"], rec["depth"]
@@ -394,32 +391,31 @@ class ConceptHierarchy:
                     depth=depth,
                 )
                 h._concepts[cid] = concept
-                h._parents[cid] = set()
-                h._children[cid] = set()
                 for name in concept.all_names():
                     key = normalize_name(name)
                     if not key or key in h._names:
                         raise CheckpointError(f"duplicate or empty name {name!r}")
                     h._names[key] = cid
+            stored: dict[tuple[int, int], str | None] = {}
             for pair in edges:
-                child, parent = int(pair[0]), int(pair[1])
+                child, parent = pair
+                if type(child) is not int or type(parent) is not int:
+                    raise CheckpointError(f"edge {pair!r}: endpoints must be ints")
                 if child not in h._concepts or parent not in h._concepts:
                     raise CheckpointError(f"edge {pair} references unknown concept")
-                h._parents[child].add(parent)
-                h._children[parent].add(child)
-                h._edge_origin[(child, parent)] = None
+                stored[(child, parent)] = None
         except (
             AttributeError, InvalidInputError, LookupError, TypeError, ValueError
         ) as exc:
             raise CheckpointError(f"malformed hierarchy record: {exc!r}") from None
         h._next_id = by_id[-1]["id"] + 1
-        h._up, h._down = h._closure_by_bfs()
-        h._reset_frontier()
-        h._changed_ids, h._changed_edges = set(h._concepts), set(h._edge_origin)
         try:
+            h._install_edges(stored)
             h._verify_records()
         except IntegrityError as exc:
             raise CheckpointError(f"hierarchy document is not a valid DAG: {exc}") from exc
+        h._reset_frontier()
+        h._changed_ids, h._changed_edges = set(h._concepts), set(h._edge_origin)
         return h
 
     @classmethod
@@ -431,23 +427,20 @@ class ConceptHierarchy:
         return cls.from_json_dict(data)
 
     # ------------------------------------------------------------------
-    # integrity (a debug aid: full recomputation, compared to live state)
+    # integrity (a debug aid: a fresh derivation, compared to live state)
 
     def verify_integrity(self) -> None:
-        up, down = self._closure_by_bfs()
+        up, down = self._closure()
         if up != self._up or down != self._down:
-            raise IntegrityError("incremental closure disagrees with BFS recomputation")
+            raise IntegrityError("closure disagrees with its topological derivation")
         self._verify_records()
 
     def _verify_records(self) -> None:
-        """Refuse a cycle, a redundant edge, a wrong depth or a bad name
-        index, given a closure derived from the current edges.  The one
-        structural check of a load, whose closure is that derivation."""
-        for cid in self._concepts:
-            if cid in self._up[cid]:
-                raise IntegrityError("closure contains a cycle")
+        """Refuse an implied edge, a wrong depth or a bad name index, given an
+        acyclic closure derived from the current edges.  The one structural
+        check of a load, whose closure is that derivation."""
         for u, v in self._edge_origin:
-            if self._reachable_without(u, v):
+            if self._implied(u, v):
                 raise IntegrityError(f"direct edge {(u, v)} is implied by other edges")
         depths = self._depths_by_bfs()
         for cid, c in self._concepts.items():
@@ -489,21 +482,11 @@ class ConceptHierarchy:
         if cid not in self._concepts:
             raise NotFoundError(f"no concept with id {cid!r}")
 
-    def _reachable_without(self, u: int, v: int) -> bool:
-        """Is v reachable upward from u without using the direct edge (u, v)?"""
-        seen = {u}
-        queue = deque([u])
-        while queue:
-            x = queue.popleft()
-            for p in self._parents[x]:
-                if x == u and p == v:
-                    continue
-                if p == v:
-                    return True
-                if p not in seen:
-                    seen.add(p)
-                    queue.append(p)
-        return False
+    def _implied(self, u: int, v: int) -> bool:
+        """Does another parent of u already reach v, making the direct edge
+        (u, v) redundant?  Exact given an acyclic closure, in which v does not
+        reach itself."""
+        return any(v in self._up[w] for w in self._parents[u])
 
     def _reduction_path(self, src: int, dst: int) -> list[int]:
         """Shortest upward path src -> dst over direct edges (both inclusive)."""
@@ -530,23 +513,25 @@ class ConceptHierarchy:
         self._edge_origin.pop((u, v), None)
         self._changed_edges.add((u, v))
 
-    def _closure_by_bfs(self) -> tuple[dict[int, set[int]], dict[int, set[int]]]:
-        parents = self._parents
+    def _closure(self) -> tuple[dict[int, set[int]], dict[int, set[int]]]:
+        """The strict closure of the direct edges, from one topological order
+        (Kahn): ``up`` built parents first, ``down`` children first.  Raises
+        IntegrityError when a cycle leaves concepts unordered."""
+        waiting = {cid: len(ps) for cid, ps in self._parents.items()}
+        order = [cid for cid, n in waiting.items() if not n]
+        for x in order:  # grows while it is walked
+            for ch in self._children[x]:
+                waiting[ch] -= 1
+                if not waiting[ch]:
+                    order.append(ch)
+        if len(order) < len(waiting):
+            raise IntegrityError("the direct edges contain a cycle")
         up: dict[int, set[int]] = {}
-        for cid in parents:
-            seen: set[int] = set()
-            queue = deque(parents[cid])
-            while queue:
-                x = queue.popleft()
-                if x in seen:
-                    continue
-                seen.add(x)
-                queue.extend(parents[x])
-            up[cid] = seen
-        down: dict[int, set[int]] = {cid: set() for cid in parents}
-        for cid, anc in up.items():
-            for a in anc:
-                down[a].add(cid)
+        for x in order:
+            up[x] = self._parents[x].union(*(up[p] for p in self._parents[x]))
+        down: dict[int, set[int]] = {}
+        for x in reversed(order):
+            down[x] = self._children[x].union(*(down[c] for c in self._children[x]))
         return up, down
 
     def _depths_by_bfs(self) -> dict[int, int]:
@@ -588,22 +573,27 @@ class ConceptHierarchy:
                 if not waiting[ch]:
                     ready.append(ch)
 
-    def _rebuild_from_edges(self, edges: dict[tuple[int, int], str | None]) -> None:
-        """Replace adjacency with the acyclic ``edges``, then recompute the
-        closure, re-minimize, and recompute depths and the frontier."""
-        self._changed_ids |= self._concepts.keys()
-        self._changed_edges |= self._edge_origin.keys() | edges.keys()
-        for cid in self._concepts:
-            self._parents[cid] = set()
-            self._children[cid] = set()
+    def _install_edges(self, edges: dict[tuple[int, int], str | None]) -> None:
+        """Make ``edges`` (with their origins) the direct edges of the current
+        concepts and derive their closure; IntegrityError on a cycle."""
+        self._parents = {cid: set() for cid in self._concepts}
+        self._children = {cid: set() for cid in self._concepts}
         self._edge_origin = dict(edges)
         for child, parent in edges:
             self._parents[child].add(parent)
             self._children[parent].add(child)
-        self._up, self._down = self._closure_by_bfs()
-        for u, v in sorted(self._edge_origin):
-            if self._reachable_without(u, v):
-                self._drop_edge(u, v)
+        self._up, self._down = self._closure()
+
+    def _rebuild_from_edges(self, edges: dict[tuple[int, int], str | None]) -> None:
+        """Replace the direct edges with the acyclic ``edges``, drop the ones
+        that others imply, and recompute depths and the frontier."""
+        self._changed_ids |= self._concepts.keys()
+        self._changed_edges |= self._edge_origin.keys() | edges.keys()
+        self._install_edges(edges)
+        # Dropping an implied edge keeps the closure, so every edge can be
+        # tested before the first drop.
+        for u, v in [e for e in edges if self._implied(*e)]:
+            self._drop_edge(u, v)
         for cid, depth in self._depths_by_bfs().items():
             self._concepts[cid].depth = depth
         self._reset_frontier()

@@ -226,7 +226,7 @@ def insert(
     for d in sorted(parents & children):
         d_name = h.concept(d).canonical_name
         if oracle.interchangeable(ctx, name, d_name):
-            return _absorb(h, placement, name, description, d, parents, children)
+            return _absorb(h, placement, name, description, d, children)
         try:
             sub, _sup = oracle.subcategory_direction(ctx, name, d_name)
         except OracleParseError:
@@ -280,7 +280,6 @@ def _absorb(
     name: str,
     description: str | None,
     target: int,
-    parents: set[int],
     children: set[int],
 ) -> Placement:
     """The new name denotes an existing concept: merge names, keep new edges."""
@@ -289,14 +288,9 @@ def _absorb(
     concept = h.concept(target)
     if description and not concept.description:
         h.set_description(target, description)
-    for p in sorted(parents - {target}):
-        try:
-            h.add_subsumption(target, p, origin=ORIGIN_INSERTION)
-        except CycleError as exc:
-            logger.error("dropping contradictory synonym edge: %s", exc)
-            placement.dropped_edges.append(
-                (concept.canonical_name, h.concept(p).canonical_name)
-            )
+    # No parent edge is needed: the bottom search found target below every
+    # parent the top search found, and those parents form an antichain, so
+    # target is the only one.
     for e in sorted(children - {target}):
         try:
             h.add_subsumption(e, target, origin=ORIGIN_INSERTION)

@@ -318,7 +318,9 @@ class CompletionParams:
 
 
 DEFAULT_SAMPLING_TEMPERATURE = 2.0
+MAX_RETRIES = 5  # a request is sent at most 1 + MAX_RETRIES times
 BACKOFF_BASE = 0.5  # seconds before the first retry; each retry doubles it
+BACKOFF_CAP = 30.0  # seconds; no wait between attempts is longer
 
 
 @dataclass
@@ -484,12 +486,9 @@ class ChatCompletionOracle:
         transport: ChatTransport | None = None,
         *,
         params: CompletionParams | None = None,
-        price_table: dict[str, tuple[float, float]] | None = None,
         cache: ResponseCache | None = None,
         query_log: QueryLog | None = None,
         ledger: CostLedger | None = None,
-        max_retries: int = 5,
-        backoff_cap: float = 30.0,
         max_in_flight: int = 8,
         sleep=time.sleep,
     ):
@@ -498,14 +497,11 @@ class ChatCompletionOracle:
         self.sampling_params = replace(
             self.params, temperature=DEFAULT_SAMPLING_TEMPERATURE, max_tokens=1
         )
-        self.price_table = dict(price_table or DEFAULT_PRICE_TABLE)
         self.cache = cache or ResponseCache()
         self.query_log = query_log
         self.ledger = ledger if ledger is not None else CostLedger()
         if max_in_flight < 1:
             raise InvalidInputError(f"max_in_flight must be >= 1, got {max_in_flight}")
-        self.max_retries = max_retries
-        self.backoff_cap = backoff_cap
         self.max_in_flight = max_in_flight
         self._sleep = sleep
         self._pool: ThreadPoolExecutor | None = None
@@ -591,9 +587,9 @@ class ChatCompletionOracle:
             "max_tokens": params.max_tokens,
         }
         last_error: TransportError | None = None
-        for attempt in range(self.max_retries + 1):
+        for attempt in range(MAX_RETRIES + 1):
             if attempt:
-                delay = min(BACKOFF_BASE * 2 ** (attempt - 1), self.backoff_cap)
+                delay = min(BACKOFF_BASE * 2 ** (attempt - 1), BACKOFF_CAP)
                 self._sleep(delay)
             started = time.monotonic()
             try:
@@ -604,7 +600,7 @@ class ChatCompletionOracle:
                 logger.warning(
                     "completion attempt %d/%d failed: %s",
                     attempt + 1,
-                    self.max_retries + 1,
+                    MAX_RETRIES + 1,
                     exc,
                 )
                 if not exc.retryable:
@@ -614,7 +610,7 @@ class ChatCompletionOracle:
             usage = data.get("usage") or {}
             pt = int(usage.get("prompt_tokens", 0))
             ct = int(usage.get("completion_tokens", 0))
-            prices = self.price_table.get(params.model, (0.0, 0.0))
+            prices = DEFAULT_PRICE_TABLE.get(params.model, (0.0, 0.0))
             self.ledger.add(pt, ct, prices[0], prices[1])
             if self.query_log is not None:
                 self.query_log.record(

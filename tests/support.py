@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 import random
 import re
 import threading
@@ -123,6 +124,34 @@ def scan_next_unexplored(h: ConceptHierarchy, cutoff: int | None) -> int | None:
         if not c.explored and (cutoff is None or c.depth < cutoff)
     ]
     return min(keys)[1] if keys else None
+
+
+# Malformed checkpoint fields: the key path a bad value is written to, the
+# value, and the CLI commands that read it (resume through
+# ``Crawler.from_checkpoint``).
+ALL_READERS = "stats resume export"
+MALFORMED_CHECKPOINT_FIELDS = {
+    "edge endpoint a string": (("hierarchy", "direct_edges", 0, 0), "1", ALL_READERS),
+    "edge endpoint a float": (("hierarchy", "direct_edges", 0, 1), 0.0, ALL_READERS),
+    "edge origin not a triple": (("edge_origins",), [[1]], ALL_READERS),
+    "ledger count not a number": (("ledger", "requests"), "many", "stats resume"),
+    "rejection count not a number": (("counters", "rejections"), "x", "stats"),
+    "counter not a number": (("counters", "explorations"), "x", "resume"),
+    "discovery key not a number": (("discovered_from", "x"), 0, "resume"),
+    "frontier holds a list": (("frontier",), [[1]], "resume"),
+}
+
+
+def with_value_at(data: dict, path: tuple, value) -> dict:
+    """A deep copy of checkpoint ``data`` with ``value`` written at key path
+    ``path``."""
+    data = copy.deepcopy(data)
+    *keys, last = path
+    target = data
+    for key in keys:
+        target = target[key]
+    target[last] = value
+    return data
 
 
 def edge_names(crawler_or_hierarchy) -> set[tuple[str, str]]:

@@ -24,7 +24,13 @@ from ontocrawl.hierarchy import ConceptHierarchy
 import daggen
 from conftest import FIXTURES
 from owl_check import doc_matches_hierarchy, parse_owl
-from support import RaisingOracle, c2_dag, make_mock_crawler
+from support import (
+    MALFORMED_CHECKPOINT_FIELDS,
+    RaisingOracle,
+    c2_dag,
+    make_mock_crawler,
+    with_value_at,
+)
 
 GOATS = FIXTURES / "goats.json"
 
@@ -272,6 +278,26 @@ def test_resume_error_paths(tmp_path, finished_run, capsys):
     future = tmp_path / "future.json"
     future.write_text(json.dumps(data), encoding="utf-8")
     assert main(["resume", str(future)]) == EXIT_CONFIG
+    assert "configuration error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_CHECKPOINT_FIELDS))
+def test_a_malformed_checkpoint_field_exits_with_config_error(
+    case, tmp_path, finished_run, capsys
+):
+    path, value, readers = MALFORMED_CHECKPOINT_FIELDS[case]
+    bad = tmp_path / "checkpoint.json"
+    bad.write_text(
+        json.dumps(with_value_at(read_checkpoint(finished_run), path, value)),
+        encoding="utf-8",
+    )
+    for argv in (
+        ["stats", str(bad)],
+        ["export", str(bad), "-o", str(tmp_path / "out.owl")],
+        ["resume", str(bad)],
+    ):
+        want = EXIT_CONFIG if argv[0] in readers.split() else EXIT_OK
+        assert main(argv) == want, argv
     assert "configuration error:" in capsys.readouterr().err
 
 

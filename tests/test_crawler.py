@@ -40,12 +40,14 @@ from ontocrawl.errors import (
 from ontocrawl.export import compute_stats
 from ontocrawl.insertion import ORIGIN_INSERTION
 from support import (
+    MALFORMED_CHECKPOINT_FIELDS,
     RaisingOracle,
     TaxonomyTransport,
     edge_names,
     make_mock_crawler,
     run_mock_crawl,
     scan_next_unexplored,
+    with_value_at,
 )
 
 SMALL = GroundTruthTaxonomy.from_json_dict(
@@ -706,6 +708,14 @@ def test_corrupted_checkpoints_are_refused(goats, tmp_path):
         bad = copy()
         del bad["hierarchy"]["direct_edges"][0]
         Crawler.from_checkpoint(bad, oracle)
+    with pytest.raises(CheckpointError):
+        bad = copy()
+        del bad["config"]
+        Crawler.from_checkpoint(bad, oracle)
+    for path, value, readers in MALFORMED_CHECKPOINT_FIELDS.values():
+        if "resume" in readers:
+            with pytest.raises(CheckpointError):
+                Crawler.from_checkpoint(with_value_at(good, path, value), oracle)
 
 
 def test_checkpoint_loader_file_errors(tmp_path):

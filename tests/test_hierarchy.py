@@ -405,6 +405,19 @@ def test_from_json_rejects_malformed_documents():
     with pytest.raises(CheckpointError):
         ConceptHierarchy.from_json_dict(cyclic)
 
+    cycle_below_seed = {**good, "direct_edges": good["direct_edges"] + [[a, b]]}
+    with pytest.raises(CheckpointError, match="cycle"):
+        ConceptHierarchy.from_json_dict(cycle_below_seed)
+
+    self_loop = {**good, "direct_edges": good["direct_edges"] + [[b, b]]}
+    with pytest.raises(CheckpointError, match="cycle"):
+        ConceptHierarchy.from_json_dict(self_loop)
+
+    for pair in ([1.0, 0], ["1", 0], [1, True], [1], [1, 0, 0], 1, "10"):
+        bad_edge = {**good, "direct_edges": [pair, [b, a]]}
+        with pytest.raises(CheckpointError):
+            ConceptHierarchy.from_json_dict(bad_edge)
+
     import copy
 
     wrong_depth = copy.deepcopy(good)
@@ -451,7 +464,7 @@ def test_a_load_checks_each_stored_edge_once(monkeypatch):
     rng = random.Random(11)
     n = 150
     doc = build_hierarchy(daggen.random_dag(rng, n), n).to_json_dict()
-    calls = {"_closure_by_bfs": 0, "_reachable_without": 0, "_depths_by_bfs": 0}
+    calls = {"_closure": 0, "_implied": 0, "_depths_by_bfs": 0}
     for name in calls:
         original = getattr(ConceptHierarchy, name)
 
@@ -462,8 +475,8 @@ def test_a_load_checks_each_stored_edge_once(monkeypatch):
         monkeypatch.setattr(ConceptHierarchy, name, counting)
     ConceptHierarchy.from_json_dict(doc)
     assert calls == {
-        "_closure_by_bfs": 1,
-        "_reachable_without": len(doc["direct_edges"]),
+        "_closure": 1,
+        "_implied": len(doc["direct_edges"]),
         "_depths_by_bfs": 1,
     }
 

@@ -20,6 +20,7 @@ from ontocrawl import (
     OracleContext,
     QueryLog,
     ResponseCache,
+    llm_backend,
     verify,
 )
 from ontocrawl.errors import (
@@ -428,9 +429,10 @@ def test_non_retryable_failure_raises_immediately():
     assert len(transport.bodies) == 1 and sleeps == []
 
 
-def test_retries_exhaust_and_raise_the_last_error():
+def test_retries_exhaust_and_raise_the_last_error(monkeypatch):
+    monkeypatch.setattr(llm_backend, "MAX_RETRIES", 2)
     script = [TransportError(f"HTTP 503 #{i}", status=503) for i in range(3)]
-    oracle, transport, sleeps = make_oracle(script, max_retries=2)
+    oracle, transport, sleeps = make_oracle(script)
     with pytest.raises(TransportError, match="#2"):
         oracle.complete("Is it?")
     assert len(transport.bodies) == 3
@@ -441,27 +443,29 @@ def test_retries_exhaust_and_raise_the_last_error():
 @pytest.mark.parametrize(
     "body", [{}, {"choices": []}, {"choices": [{}]}, reply(None), "Yes"]
 )
-def test_a_malformed_reply_body_is_retried_like_a_transport_failure(body):
+def test_a_malformed_reply_body_is_retried_like_a_transport_failure(
+    body, monkeypatch
+):
     # A null usage is not malformed: it bills no tokens.
     oracle, transport, sleeps = make_oracle([body, {**reply("Yes"), "usage": None}])
     assert oracle.complete("Is it?").text == "Yes"
     assert len(transport.bodies) == 2 and sleeps == [0.5]
     assert oracle.ledger.requests == 1
 
-    oracle, transport, _ = make_oracle([body] * 3, max_retries=2)
+    monkeypatch.setattr(llm_backend, "MAX_RETRIES", 2)
+    oracle, transport, _ = make_oracle([body] * 3)
     with pytest.raises(TransportError, match="malformed reply body"):
         oracle.complete("Is it?")
     assert len(transport.bodies) == 3
     assert oracle.ledger.requests == 0
 
 
-def test_successful_completion_logs_and_prices_the_request():
-    log = QueryLog()
-    oracle, transport, _ = make_oracle(
-        [reply("Yes", pt=7, ct=3)],
-        query_log=log,
-        price_table={"gpt-3.5-turbo": (0.001, 0.002)},
+def test_successful_completion_logs_and_prices_the_request(monkeypatch):
+    monkeypatch.setattr(
+        llm_backend, "DEFAULT_PRICE_TABLE", {"gpt-3.5-turbo": (0.001, 0.002)}
     )
+    log = QueryLog()
+    oracle, transport, _ = make_oracle([reply("Yes", pt=7, ct=3)], query_log=log)
     oracle.complete("Is it?", template_name="existence")
     assert oracle.ledger.dollars == pytest.approx(0.013)
     assert oracle.ledger.prompt_tokens == 7
@@ -473,9 +477,10 @@ def test_successful_completion_logs_and_prices_the_request():
     assert rec["latency_ms"] >= 0
 
 
-def test_backoff_delay_is_capped():
+def test_backoff_delay_is_capped(monkeypatch):
+    monkeypatch.setattr(llm_backend, "BACKOFF_CAP", 2.0)
     script = [TransportError("HTTP 503", status=503) for _ in range(6)]
-    oracle, _, sleeps = make_oracle(script, max_retries=5, backoff_cap=2.0)
+    oracle, _, sleeps = make_oracle(script)
     with pytest.raises(TransportError):
         oracle.complete("Is it?")
     assert sleeps == [0.5, 1.0, 2.0, 2.0, 2.0]
