@@ -21,6 +21,7 @@ from . import export as export_mod
 from .crawler import (  # noqa: F401
     Crawler,
     CrawlConfig,
+    checkpoint_counter,
     hierarchy_from_checkpoint,
     load_checkpoint,
     save_checkpoint,
@@ -262,7 +263,7 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     try:
         ledger = CostLedger.from_dict(data.get("ledger", {}))
         config = CrawlConfig.from_dict(data["config"]) if "config" in data else None
-        rejected = int(data.get("counters", {}).get("rejections", 0))
+        rejected = checkpoint_counter(data, "rejections")
     except (AttributeError, TypeError, ValueError) as exc:
         raise CheckpointError(f"malformed checkpoint field: {exc!r}") from None
     stats = export_mod.compute_stats(h, ledger, rejected, config=config)

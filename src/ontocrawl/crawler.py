@@ -409,12 +409,15 @@ class Crawler:
             discovered_from = {
                 int(k): v for k, v in data.get("discovered_from", {}).items()
             }
-            counters = data.get("counters", {})
             explorations, probes_issued, probe_baseline = (
-                int(counters.get(key, 0))
+                checkpoint_counter(data, key)
                 for key in ("explorations", "probes_issued", "probe_baseline")
             )
-            rejections = list(data.get("rejections", []))
+            rejections = data.get("rejections", [])
+            if not isinstance(rejections, list) or not all(
+                isinstance(r, dict) for r in rejections
+            ):
+                raise CheckpointError("checkpoint rejections must be a list of objects")
         except ConfigError as exc:
             raise CheckpointError(f"checkpoint config invalid: {exc}") from exc
         except (AttributeError, KeyError, TypeError, ValueError) as exc:
@@ -437,17 +440,29 @@ class Crawler:
         crawler.explorations = explorations
         crawler.probes_issued = probes_issued
         crawler.probe_baseline = probe_baseline
-        crawler.rejections = rejections
+        crawler.rejections = list(rejections)
         crawler._rewrite_rejection_file()
         return crawler
 
 
+def checkpoint_counter(data: dict, key: str) -> int:
+    """Counter ``key`` of checkpoint ``data``, 0 when absent; CheckpointError
+    unless it is an int."""
+    value = data.get("counters", {}).get(key, 0)
+    if not _is_int(value):
+        raise CheckpointError(f"counter {key} must be an int, not {value!r}")
+    return value
+
+
 def hierarchy_from_checkpoint(data: dict) -> ConceptHierarchy:
     """The hierarchy of checkpoint ``data`` (or of a bare hierarchy document),
-    with the origins of its direct edges restored."""
+    with the origins of its direct edges restored; an origin is a string or
+    null."""
     h = ConceptHierarchy.from_json_dict(data.get("hierarchy", data))
     try:
         for child, parent, origin in data.get("edge_origins", []):
+            if origin is not None and not isinstance(origin, str):
+                raise CheckpointError(f"edge origin {origin!r} is not a string")
             if h.has_edge(child, parent):
                 h.set_edge_origin(child, parent, origin)
     except (TypeError, ValueError) as exc:

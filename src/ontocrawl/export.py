@@ -2,13 +2,21 @@
 
 Output is deterministic: concepts are emitted in id order, edges and synonym
 names sorted, so identical hierarchies yield byte-identical documents.
+
+The OWL document is written directly, one line per element, and joined once.
+Each name's IRI is percent-encoded once per export: a concept's IRI is kept
+by id for every ``rdfs:subClassOf`` that points at it, and a synonym's IRI
+serves both its ``owl:equivalentClass`` axiom and its alias class.  The
+layout and escaping are those of ElementTree's serializer after
+``ET.indent``: namespaces declared on the root in prefix order, a two-space
+indent, ``" />"`` closing an empty element, ``& < >`` escaped in text, and
+``& < > "`` plus CR, LF and TAB (as character references) in attributes.
 """
 
 from __future__ import annotations
 
 import json
 import logging
-import xml.etree.ElementTree as ET
 from dataclasses import fields
 from urllib.parse import quote
 
@@ -29,11 +37,22 @@ OWL_NS = "http://www.w3.org/2002/07/owl#"
 _XML_BAD = [chr(i) for i in range(0x20) if chr(i) not in "\t\n\r"]
 
 
-def _iri_for(base: str, name: str) -> str:
+def _escape_text(text: str) -> str:
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+
+
+def _escape_attr(text: str) -> str:
+    text = _escape_text(text).replace('"', "&quot;")
+    return text.replace("\r", "&#13;").replace("\n", "&#10;").replace("\t", "&#09;")
+
+
+def _iri_for(prefix: str, name: str) -> str:
+    """The escaped IRI of ``name`` under ``prefix``, the escaped ``base#``;
+    percent-encoding leaves nothing in the name that needs escaping."""
     for ch in _XML_BAD:
         if ch in name:
             raise ExportError(f"name {name!r} contains characters XML cannot carry")
-    return f"{base}#{quote(name, safe='')}"
+    return prefix + quote(name, safe="")
 
 
 def _check_text(owner: str, text: str) -> str:
@@ -48,41 +67,34 @@ def _check_text(owner: str, text: str) -> str:
 def to_owl_rdfxml(h: ConceptHierarchy, base_iri: str = DEFAULT_BASE_IRI) -> str:
     """One owl:Class per concept; subclass axioms along the reduction; one
     equivalent-class axiom (and alias class) per synonym name."""
-    ET.register_namespace("rdf", RDF_NS)
-    ET.register_namespace("rdfs", RDFS_NS)
-    ET.register_namespace("owl", OWL_NS)
-    root = ET.Element(f"{{{RDF_NS}}}RDF")
-    onto = ET.SubElement(root, f"{{{OWL_NS}}}Ontology")
-    onto.set(f"{{{RDF_NS}}}about", base_iri)
-
+    prefix = _escape_attr(base_iri + "#")
+    iris = {c.id: _iri_for(prefix, c.canonical_name) for c in h.concepts()}
+    lines = [
+        '<?xml version="1.0" encoding="UTF-8"?>',
+        f'<rdf:RDF xmlns:owl="{OWL_NS}" xmlns:rdf="{RDF_NS}" xmlns:rdfs="{RDFS_NS}">',
+        f'  <owl:Ontology rdf:about="{_escape_attr(base_iri)}" />',
+    ]
+    aliases: list[tuple[str, str]] = []
     for concept in h.concepts():
-        cls = ET.SubElement(root, f"{{{OWL_NS}}}Class")
-        cls.set(f"{{{RDF_NS}}}about", _iri_for(base_iri, concept.canonical_name))
-        label = ET.SubElement(cls, f"{{{RDFS_NS}}}label")
-        label.text = concept.canonical_name
+        label = _escape_text(concept.canonical_name)
+        lines.append(f'  <owl:Class rdf:about="{iris[concept.id]}">')
+        lines.append(f"    <rdfs:label>{label}</rdfs:label>")
         if concept.description:
-            comment = ET.SubElement(cls, f"{{{RDFS_NS}}}comment")
-            comment.text = _check_text(concept.canonical_name, concept.description)
+            text = _check_text(concept.canonical_name, concept.description)
+            lines.append(f"    <rdfs:comment>{_escape_text(text)}</rdfs:comment>")
         for pid in sorted(h.direct_parents(concept.id)):
-            sub = ET.SubElement(cls, f"{{{RDFS_NS}}}subClassOf")
-            sub.set(
-                f"{{{RDF_NS}}}resource",
-                _iri_for(base_iri, h.concept(pid).canonical_name),
-            )
+            lines.append(f'    <rdfs:subClassOf rdf:resource="{iris[pid]}" />')
         for name in sorted(concept.synonym_names):
-            eq = ET.SubElement(cls, f"{{{OWL_NS}}}equivalentClass")
-            eq.set(f"{{{RDF_NS}}}resource", _iri_for(base_iri, name))
-
-    for concept in h.concepts():
-        for name in sorted(concept.synonym_names):
-            alias = ET.SubElement(root, f"{{{OWL_NS}}}Class")
-            alias.set(f"{{{RDF_NS}}}about", _iri_for(base_iri, name))
-            label = ET.SubElement(alias, f"{{{RDFS_NS}}}label")
-            label.text = name
-
-    ET.indent(root, space="  ")
-    body = ET.tostring(root, encoding="unicode")
-    return '<?xml version="1.0" encoding="UTF-8"?>\n' + body + "\n"
+            iri = _iri_for(prefix, name)
+            lines.append(f'    <owl:equivalentClass rdf:resource="{iri}" />')
+            aliases.append((name, iri))
+        lines.append("  </owl:Class>")
+    for name, iri in aliases:
+        lines.append(f'  <owl:Class rdf:about="{iri}">')
+        lines.append(f"    <rdfs:label>{_escape_text(name)}</rdfs:label>")
+        lines.append("  </owl:Class>")
+    lines.append("</rdf:RDF>")
+    return "\n".join(lines) + "\n"
 
 
 def to_dot(h: ConceptHierarchy, graph_name: str = "hierarchy") -> str:

@@ -446,10 +446,13 @@ class ConceptHierarchy:
         for cid, c in self._concepts.items():
             if depths.get(cid) != c.depth:
                 raise IntegrityError(f"stored depth of {cid} is stale")
-        for key, cid in self._names.items():
-            names = {normalize_name(n) for n in self._concepts[cid].all_names()}
-            if key not in names:
-                raise IntegrityError("name index points at a concept lacking the name")
+        names = {
+            normalize_name(name): cid
+            for cid, c in self._concepts.items()
+            for name in (c.canonical_name, *c.synonym_names)
+        }
+        if names != self._names:
+            raise IntegrityError("name index disagrees with the concepts' names")
 
     # ------------------------------------------------------------------
     # internals
@@ -528,10 +531,14 @@ class ConceptHierarchy:
             raise IntegrityError("the direct edges contain a cycle")
         up: dict[int, set[int]] = {}
         for x in order:
-            up[x] = self._parents[x].union(*(up[p] for p in self._parents[x]))
+            up[x] = reach = self._parents[x].copy()
+            for p in self._parents[x]:
+                reach |= up[p]
         down: dict[int, set[int]] = {}
         for x in reversed(order):
-            down[x] = self._children[x].union(*(down[c] for c in self._children[x]))
+            down[x] = reach = self._children[x].copy()
+            for c in self._children[x]:
+                reach |= down[c]
         return up, down
 
     def _depths_by_bfs(self) -> dict[int, int]:

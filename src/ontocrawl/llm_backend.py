@@ -23,6 +23,7 @@ from pathlib import Path
 from typing import ClassVar, Protocol
 
 from .errors import (
+    CheckpointError,
     InvalidInputError,
     OracleParseError,
     TemplateError,
@@ -354,14 +355,20 @@ class CostLedger:
 
     @classmethod
     def from_dict(cls, data: dict) -> "CostLedger":
-        """Missing fields take their defaults; each value is coerced to its
-        default's type (int counts, float dollars)."""
-        return cls(
-            **{
-                f.name: type(f.default)(data.get(f.name, f.default))
-                for f in fields(cls)
-            }
-        )
+        """Missing fields take their defaults.  A count must be an int and
+        ``dollars`` an int or float, read as a float; a bool is neither, and
+        any other value raises CheckpointError."""
+        values = {}
+        for f in fields(cls):
+            value = data.get(f.name, f.default)
+            kind = type(f.default)
+            allowed = (int, float) if kind is float else (int,)
+            if isinstance(value, bool) or not isinstance(value, allowed):
+                raise CheckpointError(
+                    f"ledger {f.name} must be a {kind.__name__}, not {value!r}"
+                )
+            values[f.name] = kind(value)
+        return cls(**values)
 
 
 class ResponseCache:

@@ -134,9 +134,17 @@ MALFORMED_CHECKPOINT_FIELDS = {
     "edge endpoint a string": (("hierarchy", "direct_edges", 0, 0), "1", ALL_READERS),
     "edge endpoint a float": (("hierarchy", "direct_edges", 0, 1), 0.0, ALL_READERS),
     "edge origin not a triple": (("edge_origins",), [[1]], ALL_READERS),
+    "edge origin a list": (("edge_origins", 0, 2), [5], ALL_READERS),
     "ledger count not a number": (("ledger", "requests"), "many", "stats resume"),
+    "ledger count a numeric string": (("ledger", "requests"), "7", "stats resume"),
+    "ledger count a bool": (("ledger", "requests"), True, "stats resume"),
+    "ledger dollars a string": (("ledger", "dollars"), "0.5", "stats resume"),
     "rejection count not a number": (("counters", "rejections"), "x", "stats"),
+    "rejection count a float": (("counters", "rejections"), 2.9, "stats"),
     "counter not a number": (("counters", "explorations"), "x", "resume"),
+    "counter a float": (("counters", "explorations"), 2.9, "resume"),
+    "rejections a string": (("rejections",), "ab", "resume"),
+    "rejection not an object": (("rejections",), [1], "resume"),
     "discovery key not a number": (("discovered_from", "x"), 0, "resume"),
     "frontier holds a list": (("frontier",), [[1]], "resume"),
 }

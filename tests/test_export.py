@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import random
+import xml.etree.ElementTree as ET
+from urllib.parse import quote
 
 import pytest
 
@@ -10,6 +12,10 @@ from ontocrawl import ConceptHierarchy, CostLedger, CrawlConfig
 from ontocrawl.crawler import CrawlStats
 from ontocrawl.errors import ExportError
 from ontocrawl.export import (
+    DEFAULT_BASE_IRI,
+    OWL_NS,
+    RDF_NS,
+    RDFS_NS,
     compute_stats,
     render_stats_text,
     stats_to_json_dict,
@@ -20,7 +26,12 @@ from ontocrawl.insertion import ORIGIN_INSERTION, ORIGIN_LISTING
 
 import daggen
 from owl_check import doc_matches_hierarchy, parse_owl
-from support import build_hierarchy, hierarchy_from_taxonomy
+from support import (
+    build_hierarchy,
+    c2_taxonomy,
+    hierarchy_from_taxonomy,
+    run_mock_crawl,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -96,6 +107,90 @@ def test_random_dags_round_trip_through_owl(seed):
     n = rng.randint(5, 40)
     edges = daggen.random_dag(rng, n)
     h = build_hierarchy(edges, n)
+    doc_matches_hierarchy(parse_owl(to_owl_rdfxml(h)), h)
+
+
+def _reference_owl_rdfxml(h: ConceptHierarchy, base_iri: str = DEFAULT_BASE_IRI) -> str:
+    """Reference OWL document: the same axioms built as an ElementTree,
+    indented and serialized by the standard library.  Comparing with it pins
+    the writer's bytes to ElementTree's on every Python the suite runs on."""
+    def iri(name: str) -> str:
+        return f"{base_iri}#{quote(name, safe='')}"
+
+    ET.register_namespace("rdf", RDF_NS)
+    ET.register_namespace("rdfs", RDFS_NS)
+    ET.register_namespace("owl", OWL_NS)
+    root = ET.Element(f"{{{RDF_NS}}}RDF")
+    onto = ET.SubElement(root, f"{{{OWL_NS}}}Ontology")
+    onto.set(f"{{{RDF_NS}}}about", base_iri)
+
+    for concept in h.concepts():
+        cls = ET.SubElement(root, f"{{{OWL_NS}}}Class")
+        cls.set(f"{{{RDF_NS}}}about", iri(concept.canonical_name))
+        label = ET.SubElement(cls, f"{{{RDFS_NS}}}label")
+        label.text = concept.canonical_name
+        if concept.description:
+            comment = ET.SubElement(cls, f"{{{RDFS_NS}}}comment")
+            comment.text = concept.description
+        for pid in sorted(h.direct_parents(concept.id)):
+            sub = ET.SubElement(cls, f"{{{RDFS_NS}}}subClassOf")
+            sub.set(f"{{{RDF_NS}}}resource", iri(h.concept(pid).canonical_name))
+        for name in sorted(concept.synonym_names):
+            eq = ET.SubElement(cls, f"{{{OWL_NS}}}equivalentClass")
+            eq.set(f"{{{RDF_NS}}}resource", iri(name))
+
+    for concept in h.concepts():
+        for name in sorted(concept.synonym_names):
+            alias = ET.SubElement(root, f"{{{OWL_NS}}}Class")
+            alias.set(f"{{{RDF_NS}}}about", iri(name))
+            label = ET.SubElement(alias, f"{{{RDFS_NS}}}label")
+            label.text = name
+
+    ET.indent(root, space="  ")
+    body = ET.tostring(root, encoding="unicode")
+    return '<?xml version="1.0" encoding="UTF-8"?>\n' + body + "\n"
+
+
+def _hostile_hierarchy() -> ConceptHierarchy:
+    """Names, synonyms and descriptions full of characters XML escapes."""
+    h = ConceptHierarchy("Tom & Jerry's <\"Goats\">")
+    a = h.add_concept(
+        "Ziegen & Böcke", [h.seed_id], description="a < b > c & \"d\" 'e'\n\tÉtude"
+    )
+    h.add_synonym_name(a, "<Chèvres> \"&\" 'Geiß'")
+    h.add_synonym_name(a, "Cabras > ovejas")
+    b = h.add_concept("Ωmega's \"goat\"", [h.seed_id], description=" \n\t ")
+    c = h.add_concept("山羊 & <羊>", [a, b], description="\n&amp; ]]> <![CDATA[")
+    h.add_synonym_name(c, "Ça & ça")
+    return h
+
+
+OWL_BASE_IRIS = (
+    DEFAULT_BASE_IRI,
+    'http://example.org/a&b"c<d>e',
+    "http://example.org/x\ty\nz\rw'",
+)
+
+
+def _owl_reference_cases(goats):
+    yield "goats crawl", run_mock_crawl(goats).hierarchy
+    yield "goats taxonomy", hierarchy_from_taxonomy(goats)
+    for i in range(20):
+        yield f"c2-{i:02d}", hierarchy_from_taxonomy(c2_taxonomy(i))
+    n = 400
+    yield "daggen-400", build_hierarchy(daggen.random_dag(random.Random(1), n), n)
+    yield "hostile", _hostile_hierarchy()
+
+
+def test_owl_writer_matches_the_elementtree_reference(goats):
+    for case, h in _owl_reference_cases(goats):
+        for base in OWL_BASE_IRIS:
+            want = _reference_owl_rdfxml(h, base)
+            assert to_owl_rdfxml(h, base) == want, (case, base)
+
+
+def test_hostile_names_round_trip_through_owl():
+    h = _hostile_hierarchy()
     doc_matches_hierarchy(parse_owl(to_owl_rdfxml(h)), h)
 
 

@@ -507,6 +507,29 @@ def test_verify_integrity_catches_corrupted_closure():
         h.verify_integrity()
 
 
+def _named_hierarchy() -> ConceptHierarchy:
+    h = ConceptHierarchy("Livestock")
+    dairy = h.add_concept("Dairy Goats", [h.seed_id])
+    h.add_synonym_name(dairy, "Milk Goats")
+    h.add_concept("Meat Goats", [h.seed_id])
+    h.verify_integrity()
+    return h
+
+
+def test_verify_integrity_catches_a_synonym_missing_from_the_name_index():
+    h = _named_hierarchy()
+    del h._names[normalize_name("Milk Goats")]
+    with pytest.raises(IntegrityError, match="name index"):
+        h.verify_integrity()
+
+
+def test_verify_integrity_catches_a_name_pointing_at_the_wrong_concept():
+    h = _named_hierarchy()
+    h._names[normalize_name("Milk Goats")] = h.find_by_name("Meat Goats")
+    with pytest.raises(IntegrityError, match="name index"):
+        h.verify_integrity()
+
+
 @given(st.text(min_size=0, max_size=40))
 def test_normalize_name_is_idempotent(name):
     once = normalize_name(name)

@@ -352,6 +352,9 @@ def test_cost_ledger_accumulates_and_round_trips():
     assert ledger.completion_tokens == 20
     assert ledger.dollars == pytest.approx(0.055)
     assert CostLedger.from_dict(ledger.to_dict()) == ledger
+    whole = CostLedger.from_dict({"requests": 3, "dollars": 2})
+    assert whole == CostLedger(requests=3, dollars=2.0)
+    assert type(whole.dollars) is float
 
 
 def test_response_cache_persists_to_disk(tmp_path):
