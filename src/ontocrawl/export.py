@@ -10,7 +10,9 @@ serves both its ``owl:equivalentClass`` axiom and its alias class.  The
 layout and escaping are those of ElementTree's serializer after
 ``ET.indent``: namespaces declared on the root in prefix order, a two-space
 indent, ``" />"`` closing an empty element, ``& < >`` escaped in text, and
-``& < > "`` plus CR, LF and TAB (as character references) in attributes.
+``& < > "`` plus CR, LF and TAB (as character references) in attributes.  One
+departure: a CR in text is written ``&#13;`` too, because an XML parser reads
+a raw CR or CRLF as LF and the label or comment would not survive a parse.
 """
 
 from __future__ import annotations
@@ -38,12 +40,13 @@ _XML_BAD = [chr(i) for i in range(0x20) if chr(i) not in "\t\n\r"]
 
 
 def _escape_text(text: str) -> str:
-    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+    text = text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+    return text.replace("\r", "&#13;")
 
 
 def _escape_attr(text: str) -> str:
     text = _escape_text(text).replace('"', "&quot;")
-    return text.replace("\r", "&#13;").replace("\n", "&#10;").replace("\t", "&#09;")
+    return text.replace("\n", "&#10;").replace("\t", "&#09;")
 
 
 def _iri_for(prefix: str, name: str) -> str:

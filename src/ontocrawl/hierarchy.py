@@ -11,13 +11,17 @@ make a shorter direct edge redundant and drop it.  One rule decides
 redundancy everywhere: an edge (u, v) is implied when another parent of u
 reaches v, since the reduction of a DAG is unique (Aho, Garey and Ullman,
 1972).  Loads and synonym merges install a whole edge set and derive its
-closure in one topological pass (Kahn, 1962) that refuses a cycle; a merge
-then drops the implied edges and recomputes depths.  A load takes the stored
-depths as they are and refuses the document on a cycle, an implied edge, a
-wrong depth or a bad name: the checks of ``verify_integrity`` but its closure
-comparison, which on a load would compare the derivation with itself.  One
-concept may carry several names (a canonical name plus synonyms); name lookups
-are whitespace- and case-insensitive.
+closure in one topological pass that refuses a cycle; a merge then drops the
+implied edges and recomputes depths.  A load takes the stored depths as they
+are and refuses the document on a cycle, an implied edge, a wrong depth or an
+empty or repeated name: the checks of ``verify_integrity`` but its closure and
+name-index comparisons, which on a load would compare a derivation with
+itself.  One concept may carry several names (a canonical name plus
+synonyms); name lookups are whitespace- and case-insensitive.
+
+``topological_order`` (Kahn, 1962) is the package's one topological sort:
+the closure derivation, the depth recompute after each edge addition and the
+ancestor sets of ``oracle.GroundTruthTaxonomy`` all walk its order.
 
 Every mutation marks what it touched in a change set: the concept ids whose
 record (``concept_record``) may differ, and the direct edges that may have
@@ -56,6 +60,34 @@ CHECKPOINT_VERSION = 1
 def normalize_name(name: str) -> str:
     """Collapse whitespace runs and case-fold; the key used for name equality."""
     return " ".join(name.split()).casefold()
+
+
+def topological_order(nodes, parents, children) -> list:
+    """``nodes`` parents first, by Kahn's algorithm counting only the parents
+    among them.  ``nodes`` is a set or keys view that holds every child of
+    its members; ``parents`` and ``children`` map each node to a set of
+    neighbours.  Raises IntegrityError when a cycle leaves some unordered."""
+    waiting = {x: len(parents[x] & nodes) for x in nodes}
+    order = [x for x, n in waiting.items() if not n]
+    for x in order:  # grows while it is walked
+        for ch in children[x]:
+            waiting[ch] -= 1
+            if not waiting[ch]:
+                order.append(ch)
+    if len(order) < len(waiting):
+        raise IntegrityError("the direct edges contain a cycle")
+    return order
+
+
+def reach_along(order, step) -> dict:
+    """The strict closure of ``step`` (node -> set of neighbours) for every
+    node of ``order``, which lists each node after all its neighbours."""
+    reach: dict = {}
+    for x in order:
+        reach[x] = r = step[x].copy()
+        for y in step[x]:
+            r |= reach[y]
+    return reach
 
 
 @dataclass
@@ -352,9 +384,10 @@ class ConceptHierarchy:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "ConceptHierarchy":
-        """Load a hierarchy document.  Its records are taken as stored and
-        ``_verify_records`` is the one structural check; a document that
-        cannot be parsed or fails that check raises CheckpointError."""
+        """Load a hierarchy document.  Its records are taken as stored; the
+        name index refuses an empty or repeated name as it is built, and
+        ``_verify_records`` is the one structural check.  A document that
+        cannot be parsed or fails a check raises CheckpointError."""
         if not isinstance(data, dict):
             raise CheckpointError("hierarchy document must be a JSON object")
         if data.get("version") != CHECKPOINT_VERSION:
@@ -434,11 +467,15 @@ class ConceptHierarchy:
         if up != self._up or down != self._down:
             raise IntegrityError("closure disagrees with its topological derivation")
         self._verify_records()
+        concepts = self._concepts.items()
+        names = {normalize_name(n): cid for cid, c in concepts for n in c.all_names()}
+        if names != self._names:
+            raise IntegrityError("name index disagrees with the concepts' names")
 
     def _verify_records(self) -> None:
-        """Refuse an implied edge, a wrong depth or a bad name index, given an
-        acyclic closure derived from the current edges.  The one structural
-        check of a load, whose closure is that derivation."""
+        """Refuse an implied edge or a wrong depth, given an acyclic closure
+        derived from the current edges.  The one structural check of a load,
+        whose closure is that derivation."""
         for u, v in self._edge_origin:
             if self._implied(u, v):
                 raise IntegrityError(f"direct edge {(u, v)} is implied by other edges")
@@ -446,13 +483,6 @@ class ConceptHierarchy:
         for cid, c in self._concepts.items():
             if depths.get(cid) != c.depth:
                 raise IntegrityError(f"stored depth of {cid} is stale")
-        names = {
-            normalize_name(name): cid
-            for cid, c in self._concepts.items()
-            for name in (c.canonical_name, *c.synonym_names)
-        }
-        if names != self._names:
-            raise IntegrityError("name index disagrees with the concepts' names")
 
     # ------------------------------------------------------------------
     # internals
@@ -517,29 +547,12 @@ class ConceptHierarchy:
         self._changed_edges.add((u, v))
 
     def _closure(self) -> tuple[dict[int, set[int]], dict[int, set[int]]]:
-        """The strict closure of the direct edges, from one topological order
-        (Kahn): ``up`` built parents first, ``down`` children first.  Raises
+        """The strict closure of the direct edges, from one topological order:
+        ``up`` built parents first, ``down`` children first.  Raises
         IntegrityError when a cycle leaves concepts unordered."""
-        waiting = {cid: len(ps) for cid, ps in self._parents.items()}
-        order = [cid for cid, n in waiting.items() if not n]
-        for x in order:  # grows while it is walked
-            for ch in self._children[x]:
-                waiting[ch] -= 1
-                if not waiting[ch]:
-                    order.append(ch)
-        if len(order) < len(waiting):
-            raise IntegrityError("the direct edges contain a cycle")
-        up: dict[int, set[int]] = {}
-        for x in order:
-            up[x] = reach = self._parents[x].copy()
-            for p in self._parents[x]:
-                reach |= up[p]
-        down: dict[int, set[int]] = {}
-        for x in reversed(order):
-            down[x] = reach = self._children[x].copy()
-            for c in self._children[x]:
-                reach |= down[c]
-        return up, down
+        order = topological_order(self._parents.keys(), self._parents, self._children)
+        up = reach_along(order, self._parents)
+        return up, reach_along(reversed(order), self._children)
 
     def _depths_by_bfs(self) -> dict[int, int]:
         depths = {self.seed_id: 0}
@@ -566,19 +579,12 @@ class ConceptHierarchy:
         Only ``top`` has all its parents outside the cone.
         """
         cone = self._down[top] | {top}
-        waiting = {x: len(self._parents[x] & cone) for x in cone}
-        ready = [top]
-        while ready:
-            x = ready.pop()
+        for x in topological_order(cone, self._parents, self._children):
             depth = 1 + min(self._concepts[p].depth for p in self._parents[x])
             if self._concepts[x].depth != depth:
                 self._concepts[x].depth = depth
                 self._changed_ids.add(x)
                 heapq.heappush(self._frontier, (depth, x))
-            for ch in self._children[x]:
-                waiting[ch] -= 1
-                if not waiting[ch]:
-                    ready.append(ch)
 
     def _install_edges(self, edges: dict[tuple[int, int], str | None]) -> None:
         """Make ``edges`` (with their origins) the direct edges of the current

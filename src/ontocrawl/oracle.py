@@ -5,7 +5,9 @@ answers from a ground-truth taxonomy fixture, optionally perturbed by a seeded
 noise model.  Every answer is derived from a private RNG keyed by the query
 content, so identical queries get identical answers regardless of call order,
 interleaving or process; that is what makes checkpoint/resume and concurrent
-probing reproducible.
+probing reproducible.  The taxonomy derives each synonym class's ancestors in
+the order of ``hierarchy.topological_order``, the package's one topological
+sort, and the same pass refuses a fixture cycle.
 """
 
 from __future__ import annotations
@@ -20,8 +22,8 @@ from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Callable, Mapping, Protocol, runtime_checkable
 
-from .errors import InvalidInputError
-from .hierarchy import normalize_name
+from .errors import IntegrityError, InvalidInputError
+from .hierarchy import normalize_name, reach_along, topological_order
 
 logger = logging.getLogger(__name__)
 
@@ -161,7 +163,9 @@ class GroundTruthTaxonomy:
 
     Loaded from JSON ``{root, edges, synonyms, descriptions, instances,
     parts}`` with edges listed child-first.  Synonym pairs collapse names into
-    classes; all lookups go through a normalized-name index.
+    classes; all lookups go through a normalized-name index.  A fixture is
+    refused when its class edges contain a cycle, else when a class does not
+    reach the root; the first such class in fixture order is named.
     """
 
     def __init__(
@@ -182,7 +186,6 @@ class GroundTruthTaxonomy:
         self.instances = {k: list(v) for k, v in (instances or {}).items()}
         self.parts = {k: list(v) for k, v in (parts or {}).items()}
         self._build()
-        self._validate()
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "GroundTruthTaxonomy":
@@ -254,29 +257,29 @@ class GroundTruthTaxonomy:
         self._class_of = {key: find(key) for key in names}
         self._root_key = self._class_of[normalize_name(self.root)]
 
+        # Class keys in fixture order; edges within a class fold away.
+        self._parents: dict[str, set[str]] = {k: set() for k in self._class_of.values()}
+        below: dict[str, set[str]] = {k: set() for k in self._parents}
         self._children: dict[str, list[str]] = {}
-        self._parents: dict[str, set[str]] = {}
-        seen_edges: set[tuple[str, str]] = set()
         for child, parent in self.edges:
             ck = self._class_of[normalize_name(child)]
             pk = self._class_of[normalize_name(parent)]
-            if ck == pk or (ck, pk) in seen_edges:
+            if ck == pk or ck in below[pk]:
                 continue
-            seen_edges.add((ck, pk))
+            below[pk].add(ck)
             self._children.setdefault(pk, []).append(child)
-            self._parents.setdefault(ck, set()).add(pk)
-
-        self._up: dict[str, set[str]] = {}
-        for key in set(self._class_of.values()):
-            seen: set[str] = set()
-            stack = list(self._parents.get(key, ()))
-            while stack:
-                x = stack.pop()
-                if x in seen:
-                    continue
-                seen.add(x)
-                stack.extend(self._parents.get(x, ()))
-            self._up[key] = seen
+            self._parents[ck].add(pk)
+        try:
+            order = topological_order(self._parents.keys(), self._parents, below)
+        except IntegrityError:
+            raise InvalidInputError("fixture edges contain a cycle") from None
+        self._up = reach_along(order, self._parents)
+        for key in self._parents:
+            if key != self._root_key and self._root_key not in self._up[key]:
+                raise InvalidInputError(
+                    f"fixture concept {self._surface[key]!r} is not reachable "
+                    f"from the root"
+                )
 
         # First spelling in fixture order wins, as a scan of the table would.
         self._descriptions: dict[str, str] = {}
@@ -293,16 +296,6 @@ class GroundTruthTaxonomy:
         self._part_names = {
             normalize_name(n) for vals in self.parts.values() for n in vals
         }
-
-    def _validate(self) -> None:
-        for key in set(self._class_of.values()):
-            if key in self._up[key]:
-                raise InvalidInputError("fixture edges contain a cycle")
-            if key != self._root_key and self._root_key not in self._up[key]:
-                raise InvalidInputError(
-                    f"fixture concept {self._surface[key]!r} is not reachable "
-                    f"from the root"
-                )
 
     # -- queries ---------------------------------------------------------
 

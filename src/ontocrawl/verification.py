@@ -34,11 +34,18 @@ REASON_RENAME_FAILED = "rename_failed"
 
 INCONCLUSIVE = "inconclusive"
 
+# Each step: its transcript name, the reason it rejects with, the oracle
+# question it asks of (oracle, ctx, d, c), and the answer that fails it.
 _STEPS = (
-    ("instance", REASON_INSTANCE),
-    ("part", REASON_PART),
-    ("under_seed", REASON_NOT_UNDER_SEED),
-    ("under_parent", REASON_NOT_UNDER_PARENT),
+    ("instance", REASON_INSTANCE, lambda o, ctx, d, c: o.is_instance(ctx, d), True),
+    ("part", REASON_PART, lambda o, ctx, d, c: o.is_part(ctx, d), True),
+    ("under_seed", REASON_NOT_UNDER_SEED, lambda o, ctx, d, c: o.under_seed(ctx, d), False),
+    (
+        "under_parent",
+        REASON_NOT_UNDER_PARENT,
+        lambda o, ctx, d, c: o.is_subcategory_of(ctx, d, c),
+        False,
+    ),
 )
 
 
@@ -71,26 +78,15 @@ def _run_steps(
 
     Returns (failed_reason, conclusive); (None, True) means all passed.
     """
-    for step, reason in _STEPS:
+    for step, reason, ask, failing in _STEPS:
         try:
-            if step == "instance":
-                bad = oracle.is_instance(ctx, d)
-                answer: object = bad
-            elif step == "part":
-                bad = oracle.is_part(ctx, d)
-                answer = bad
-            elif step == "under_seed":
-                ok = oracle.under_seed(ctx, d)
-                answer, bad = ok, not ok
-            else:
-                ok = oracle.is_subcategory_of(ctx, d, c)
-                answer, bad = ok, not ok
+            answer = ask(oracle, ctx, d, c)
         except OracleParseError as exc:
             logger.warning("verification step %r inconclusive for %r: %s", step, d, exc)
             transcript.append((step, INCONCLUSIVE))
             return reason, False
         transcript.append((step, answer))
-        if bad:
+        if bool(answer) is failing:
             return reason, True
     return None, True
 

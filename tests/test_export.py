@@ -194,6 +194,19 @@ def test_hostile_names_round_trip_through_owl():
     doc_matches_hierarchy(parse_owl(to_owl_rdfxml(h)), h)
 
 
+@pytest.mark.parametrize(
+    "name, description",
+    [("B", "line one\r\nline two\rend"), ("B\rC", None), ("B\r\nC", "x\r")],
+    ids=["cr-in-description", "cr-in-name", "crlf-in-name"],
+)
+def test_carriage_returns_in_text_survive_an_owl_round_trip(name, description):
+    # A parser reads a raw CR or CRLF in text as LF, so text writes CR as &#13;.
+    h = ConceptHierarchy("A")
+    b = h.add_concept(name, [h.seed_id], description=description)
+    h.add_synonym_name(b, "Alias\rB")
+    doc_matches_hierarchy(parse_owl(to_owl_rdfxml(h)), h)
+
+
 # ---------------------------------------------------------------------------
 # DOT
 

@@ -15,6 +15,7 @@ from ontocrawl.errors import (
     InvalidInputError,
     NotFoundError,
 )
+from ontocrawl.hierarchy import topological_order
 from support import build_hierarchy, scan_next_unexplored
 
 
@@ -165,6 +166,21 @@ def test_closure_matches_bfs_oracle_on_random_dags():
         for cid in h.ids():
             assert h.ancestors(cid) == up[cid]
             assert h.descendants(cid) == {x for x in up if cid in up[x]}
+
+
+def test_topological_order_orders_a_cone_and_refuses_a_cycle():
+    # 0 > 1 > {2, 3} > 4, and 5 > 3: the cone of 1 counts no parent outside it.
+    parents = {0: set(), 1: {0}, 2: {1}, 3: {1, 5}, 4: {2, 3}, 5: set()}
+    children = {x: {c for c, ps in parents.items() if x in ps} for x in parents}
+    cone = {1, 2, 3, 4}
+    order = topological_order(cone, parents, children)
+    assert sorted(order) == sorted(cone) and order[0] == 1
+    for x in order:
+        assert all(order.index(p) < order.index(x) for p in parents[x] & cone)
+    parents[1].add(4)
+    children[4].add(1)
+    with pytest.raises(IntegrityError, match="cycle"):
+        topological_order(cone, parents, children)
 
 
 def test_reduction_matches_brute_force_after_random_edge_additions():

@@ -4,13 +4,18 @@ from __future__ import annotations
 
 import itertools
 import json
+import os
 import random
 import re
+import subprocess
 import sys
 import threading
+from pathlib import Path
 
 import pytest
 
+import daggen
+import ontocrawl
 from ontocrawl import (
     GroundTruthTaxonomy,
     MockOracle,
@@ -21,6 +26,7 @@ from ontocrawl import (
 from ontocrawl.errors import InvalidInputError
 from ontocrawl.llm_backend import CostLedger
 from ontocrawl.oracle import _INFLATION_PREFIXES
+from support import c2_dag
 
 # A small taxonomy with a synonym pair, an instance and two parts, so every
 # noise mode has material to work with.
@@ -91,6 +97,93 @@ def test_fixture_rejects_concepts_unreachable_from_root():
     data = {"root": "A", "edges": [["C", "B"]]}
     with pytest.raises(InvalidInputError, match="not reachable"):
         GroundTruthTaxonomy.from_json_dict(data)
+
+
+def test_fixture_rejects_a_cycle_through_a_synonym_class():
+    # D < C < B is a chain; naming D a synonym of B closes it into a cycle.
+    data = {"root": "A", "edges": [["B", "A"], ["C", "B"], ["D", "C"]]}
+    GroundTruthTaxonomy.from_json_dict(data)
+    with pytest.raises(InvalidInputError, match="^fixture edges contain a cycle$"):
+        GroundTruthTaxonomy.from_json_dict({**data, "synonyms": [["d", "B"]]})
+
+
+# A cycle (B, C) and two unreachable concepts (X, then Y), and one fixture
+# with only the unreachable ones: the first error in fixture order is named.
+_CYCLE_AND_ORPHANS = {"root": "A", "edges": [["B", "A"], ["C", "B"], ["B", "C"], ["X", "Y"]]}
+_ORPHANS = {"root": "A", "edges": [["B", "A"], ["X", "Y"], ["P", "Q"]]}
+_REPORT_ERRORS = """
+import json, sys
+from ontocrawl import GroundTruthTaxonomy
+from ontocrawl.errors import InvalidInputError
+for data in json.loads(sys.argv[1]):
+    try:
+        GroundTruthTaxonomy.from_json_dict(data)
+    except InvalidInputError as exc:
+        print(exc)
+"""
+
+
+def test_fixture_errors_do_not_depend_on_the_hash_seed():
+    src = str(Path(ontocrawl.__file__).resolve().parents[1])
+    fixtures = json.dumps([_CYCLE_AND_ORPHANS, _ORPHANS])
+    want = [
+        "fixture edges contain a cycle",
+        "fixture concept 'X' is not reachable from the root",
+    ]
+    for seed in range(8):
+        env = {**os.environ, "PYTHONHASHSEED": str(seed), "PYTHONPATH": src}
+        out = subprocess.run(
+            [sys.executable, "-c", _REPORT_ERRORS, fixtures],
+            env=env, capture_output=True, text=True, check=True,
+        ).stdout
+        assert out.splitlines() == want, seed
+
+
+def _brute_force_reaches(data: dict) -> dict[str, set[str]]:
+    """Every name's reflexive reach, walking edges upward and synonym pairs
+    both ways, by one search per name."""
+    step: dict[str, set[str]] = {}
+    names = {data["root"]} | {n for pair in data["edges"] for n in pair}
+    names |= {n for pair in data["synonyms"] for n in pair}
+    for child, parent in data["edges"]:
+        step.setdefault(child, set()).add(parent)
+    for a, b in data["synonyms"]:
+        step.setdefault(a, set()).add(b)
+        step.setdefault(b, set()).add(a)
+    reach = {}
+    for name in names:
+        seen, stack = {name}, [name]
+        while stack:
+            for nxt in step.get(stack.pop(), ()):
+                if nxt not in seen:
+                    seen.add(nxt)
+                    stack.append(nxt)
+        reach[name] = seen
+    return reach
+
+
+def _daggen_fixture_with_synonyms() -> dict:
+    """A daggen DAG plus aliases and synonym pairs of leaves.  A class of
+    leaves has no child, so no cycle runs through it."""
+    rng = random.Random(77)
+    n = 120
+    edges = daggen.random_dag(rng, n)
+    leaves = sorted(set(range(1, n)) - {p for _, p in edges})
+    pairs = [[f"Alias {i}", daggen.name_for(i)] for i in range(0, n, 9)]
+    for _ in range(20):
+        a, b = rng.sample(leaves, 2)
+        pairs.append([daggen.name_for(a), daggen.name_for(b)])
+    return {**daggen.to_fixture(edges), "synonyms": pairs}
+
+
+def test_reaches_agrees_with_brute_force_reachability():
+    cases = [daggen.to_fixture(c2_dag(i)[1]) for i in range(20)]
+    cases.append(_daggen_fixture_with_synonyms())
+    for data in cases:
+        tax = GroundTruthTaxonomy.from_json_dict(data)
+        reach = _brute_force_reaches(data)
+        for low, high in itertools.product(reach, repeat=2):
+            assert tax.reaches(low, high) == (high in reach[low]), (low, high)
 
 
 def test_fixture_rejects_empty_concept_names():
