@@ -19,11 +19,11 @@ from pathlib import Path
 from . import export as export_mod
 # save_checkpoint stays bound here for tools that wrap it by name.
 from .crawler import (  # noqa: F401
+    Checkpoint,
     Crawler,
     CrawlConfig,
-    checkpoint_counter,
-    hierarchy_from_checkpoint,
     load_checkpoint,
+    parse_checkpoint,
     save_checkpoint,
 )
 from .errors import (
@@ -173,14 +173,16 @@ def _build_oracle(
     )
 
 
+def _stats(run: Crawler | Checkpoint) -> export_mod.CrawlStats:
+    """The run summary of a crawler or of the checkpoint it saved."""
+    return export_mod.compute_stats(
+        run.hierarchy, run.ledger, len(run.rejections), config=run.config
+    )
+
+
 def _write_outputs(crawler: Crawler, out_dir: Path) -> None:
     """Everything but the checkpoint, which the crawler keeps itself."""
-    stats = export_mod.compute_stats(
-        crawler.hierarchy,
-        crawler.ledger,
-        len(crawler.rejections),
-        config=crawler.config,
-    )
+    stats = _stats(crawler)
     (out_dir / "hierarchy.owl").write_text(
         export_mod.to_owl_rdfxml(crawler.hierarchy), encoding="utf-8"
     )
@@ -201,13 +203,12 @@ def _cmd_crawl(args: argparse.Namespace) -> int:
 
 
 def _cmd_resume(args: argparse.Namespace) -> int:
-    data = load_checkpoint(args.checkpoint)
+    data = parse_checkpoint(load_checkpoint(args.checkpoint))
     out_dir = Path(args.out_dir) if args.out_dir else Path(args.checkpoint).parent
-    config = CrawlConfig.from_dict(data.get("config", {}))
-    return _run_crawl(config, out_dir, data)
+    return _run_crawl(data.config, out_dir, data)
 
 
-def _run_crawl(config: CrawlConfig, out_dir: Path, data: dict | None = None) -> int:
+def _run_crawl(config: CrawlConfig, out_dir: Path, data: Checkpoint | None = None) -> int:
     """Crawl into ``out_dir``: from the seed, or on from checkpoint ``data``."""
     out_dir.mkdir(parents=True, exist_ok=True)
     query_log = QueryLog(out_dir / "queries.jsonl")
@@ -243,7 +244,7 @@ def _run_crawl(config: CrawlConfig, out_dir: Path, data: dict | None = None) -> 
 
 
 def _cmd_export(args: argparse.Namespace) -> int:
-    h = hierarchy_from_checkpoint(load_checkpoint(args.checkpoint))
+    h = parse_checkpoint(load_checkpoint(args.checkpoint)).hierarchy
     if args.format == "owl":
         text = export_mod.to_owl_rdfxml(h, base_iri=args.base_iri)
     elif args.format == "dot":
@@ -258,15 +259,7 @@ def _cmd_export(args: argparse.Namespace) -> int:
 
 
 def _cmd_stats(args: argparse.Namespace) -> int:
-    data = load_checkpoint(args.checkpoint)
-    h = hierarchy_from_checkpoint(data)
-    try:
-        ledger = CostLedger.from_dict(data.get("ledger", {}))
-        config = CrawlConfig.from_dict(data["config"]) if "config" in data else None
-        rejected = checkpoint_counter(data, "rejections")
-    except (AttributeError, TypeError, ValueError) as exc:
-        raise CheckpointError(f"malformed checkpoint field: {exc!r}") from None
-    stats = export_mod.compute_stats(h, ledger, rejected, config=config)
+    stats = _stats(parse_checkpoint(load_checkpoint(args.checkpoint)))
     sys.stdout.write(export_mod.render_stats_text(stats))
     return EXIT_OK
 

@@ -6,6 +6,10 @@ candidate is either recognized as an existing concept (rediscovery: a new
 edge, no re-verification) or verified and classified into the hierarchy.  An
 unrecoverable oracle failure aborts the run resumably.
 
+``parse_checkpoint`` is the one reader of a checkpoint document: ``resume``,
+``stats`` and ``export`` all read through it, so they refuse the same
+documents, and an accepted document saves back to itself.
+
 Every exploration commits to the checkpoint.  The first commit writes the
 full snapshot (the base); each later one appends one JSON line to a journal
 beside it (``<checkpoint>.journal``) holding the after-image of every concept
@@ -38,7 +42,7 @@ from .errors import (
     InvalidInputError,
     TransportError,
 )
-from .hierarchy import ConceptHierarchy, normalize_name
+from .hierarchy import ConceptHierarchy, json_fields, normalize_name
 from .llm_backend import CompletionParams, CostLedger
 from .oracle import KnowledgeOracle, OracleContext, QueryLog
 from .verification import verify
@@ -389,85 +393,90 @@ class Crawler:
     @classmethod
     def from_checkpoint(
         cls,
-        data: dict,
+        data: dict | Checkpoint,
         oracle: KnowledgeOracle,
         *,
         query_log: QueryLog | None = None,
         checkpoint_path: str | Path | None = None,
         rejection_path: str | Path | None = None,
     ) -> "Crawler":
-        if not isinstance(data, dict) or data.get("version") != CHECKPOINT_WRAPPER_VERSION:
-            raise CheckpointError(
-                f"unsupported checkpoint version {data.get('version')!r}"
-                if isinstance(data, dict)
-                else "checkpoint must be a JSON object"
-            )
-        try:
-            config = CrawlConfig.from_dict(data["config"])
-            ledger = CostLedger.from_dict(data.get("ledger", {}))
-            stored_frontier = set(data.get("frontier", []))
-            discovered_from = {
-                int(k): v for k, v in data.get("discovered_from", {}).items()
-            }
-            explorations, probes_issued, probe_baseline = (
-                checkpoint_counter(data, key)
-                for key in ("explorations", "probes_issued", "probe_baseline")
-            )
-            rejections = data.get("rejections", [])
-            if not isinstance(rejections, list) or not all(
-                isinstance(r, dict) for r in rejections
-            ):
-                raise CheckpointError("checkpoint rejections must be a list of objects")
-        except ConfigError as exc:
-            raise CheckpointError(f"checkpoint config invalid: {exc}") from exc
-        except (AttributeError, KeyError, TypeError, ValueError) as exc:
-            raise CheckpointError(f"malformed checkpoint field: {exc!r}") from None
+        """The crawler that continues checkpoint ``data``: a document, or the
+        values ``parse_checkpoint`` read from one."""
+        checked = data if isinstance(data, Checkpoint) else parse_checkpoint(data)
         crawler = cls(
-            config,
-            oracle,
-            query_log=query_log,
-            ledger=ledger,
-            checkpoint_path=checkpoint_path,
-            rejection_path=rejection_path,
+            checked.config, oracle, query_log=query_log, checkpoint_path=checkpoint_path
         )
-        crawler.hierarchy = hierarchy_from_checkpoint(data)
-        actual_frontier = {
-            c.id for c in crawler.hierarchy.concepts() if not c.explored
-        }
-        if stored_frontier != actual_frontier:
-            raise CheckpointError("frontier disagrees with explored flags")
-        crawler.discovered_from = discovered_from
-        crawler.explorations = explorations
-        crawler.probes_issued = probes_issued
-        crawler.probe_baseline = probe_baseline
-        crawler.rejections = list(rejections)
+        vars(crawler).update(vars(checked))  # every field is a crawler attribute
+        # Set only now, so that the rejection file is written once.
+        crawler.rejection_path = Path(rejection_path) if rejection_path else None
         crawler._rewrite_rejection_file()
         return crawler
 
 
-def checkpoint_counter(data: dict, key: str) -> int:
-    """Counter ``key`` of checkpoint ``data``, 0 when absent; CheckpointError
-    unless it is an int."""
-    value = data.get("counters", {}).get(key, 0)
-    if not _is_int(value):
-        raise CheckpointError(f"counter {key} must be an int, not {value!r}")
-    return value
+@dataclass
+class Checkpoint:
+    """The checked values of a checkpoint document (``parse_checkpoint``)."""
+
+    config: CrawlConfig
+    hierarchy: ConceptHierarchy
+    discovered_from: dict[int, str | None]
+    ledger: CostLedger
+    rejections: list[dict]
+    explorations: int
+    probes_issued: int
+    probe_baseline: int
 
 
-def hierarchy_from_checkpoint(data: dict) -> ConceptHierarchy:
-    """The hierarchy of checkpoint ``data`` (or of a bare hierarchy document),
-    with the origins of its direct edges restored; an origin is a string or
-    null."""
-    h = ConceptHierarchy.from_json_dict(data.get("hierarchy", data))
+_CHECKPOINT_FIELDS = ("version", "config", "hierarchy", "frontier", "discovered_from",
+                      "edge_origins", "ledger", "counters", "rejections")
+_COUNTERS = ("explorations", "rejections", "probes_issued", "probe_baseline")
+
+
+def parse_checkpoint(data: dict) -> Checkpoint:
+    """Read the checkpoint document ``data`` that ``load_checkpoint`` returns.
+    It must be as ``Crawler.to_checkpoint_dict`` writes it: its fields, their
+    types, the writer's order in every list, and each derived field equal to
+    its source.  So it raises CheckpointError, or it saves back to itself."""
+    version, config, hierarchy, frontier, discovered, origins, ledger, counters, rejections = (
+        json_fields(data, "checkpoint", _CHECKPOINT_FIELDS)
+    )
+    if type(version) is not int or version != CHECKPOINT_WRAPPER_VERSION:
+        raise CheckpointError(f"unsupported checkpoint version {version!r}")
+    json_fields(config, "checkpoint config", tuple(f.name for f in fields(CrawlConfig)))
     try:
-        for child, parent, origin in data.get("edge_origins", []):
-            if origin is not None and not isinstance(origin, str):
-                raise CheckpointError(f"edge origin {origin!r} is not a string")
-            if h.has_edge(child, parent):
-                h.set_edge_origin(child, parent, origin)
-    except (TypeError, ValueError) as exc:
-        raise CheckpointError(f"malformed edge origins: {exc!r}") from None
-    return h
+        config = CrawlConfig.from_dict(config)
+    except ConfigError as exc:
+        raise CheckpointError(f"checkpoint config invalid: {exc}") from exc
+    json_fields(ledger, "ledger", tuple(f.name for f in fields(CostLedger)))
+    if type(rejections) is not list or not all(isinstance(r, dict) for r in rejections):
+        raise CheckpointError("checkpoint rejections must be a list of objects")
+    counts = json_fields(counters, "counters", _COUNTERS)
+    if not all(map(_is_int, counts)) or counts[1] != len(rejections):
+        raise CheckpointError(f"counters {counters} must be ints with {len(rejections)} rejections")
+    if not isinstance(discovered, dict) or not all(
+        type(k) is str and k.isdecimal() and str(int(k)) == k and (v is None or type(v) is str)
+        for k, v in discovered.items()
+    ):
+        raise CheckpointError("discovered_from must map concept ids to names or null")
+    h = ConceptHierarchy.from_json_dict(hierarchy)
+    unexplored = [c.id for c in h.concepts() if not c.explored]
+    if type(frontier) is not list or not all(map(_is_int, frontier)) or frontier != unexplored:
+        raise CheckpointError("frontier disagrees with explored flags")
+    edges = h.direct_edges()
+    if type(origins) is not list or len(origins) != len(edges):
+        raise CheckpointError("edge_origins must list the direct edges")
+    for entry, (child, parent) in zip(origins, edges):
+        if not (
+            type(entry) is list and len(entry) == 3 and entry[0] == child and entry[1] == parent
+            and type(entry[0]) is int and type(entry[1]) is int
+            and (entry[2] is None or type(entry[2]) is str)
+        ):
+            raise CheckpointError(f"edge origin {entry!r} is not [{child}, {parent}, origin]")
+        h.set_edge_origin(child, parent, entry[2])
+    explorations, _, probes_issued, probe_baseline = counts
+    return Checkpoint(config, h, {int(k): v for k, v in discovered.items()},
+                      CostLedger.from_dict(ledger), list(rejections),
+                      explorations, probes_issued, probe_baseline)
 
 
 def _jsonl(record: dict) -> str:
@@ -572,7 +581,7 @@ def save_checkpoint(data: dict, path: str | Path) -> str:
 
 
 def load_checkpoint(path: str | Path) -> dict:
-    """The checkpoint dict at ``path``, with its journal replayed onto it."""
+    """The checkpoint document at ``path``, with its journal replayed onto it."""
     p = Path(path)
     if not p.exists():
         raise CheckpointError(f"checkpoint not found: {p}")
@@ -581,23 +590,16 @@ def load_checkpoint(path: str | Path) -> dict:
         data = json.loads(raw)
     except ValueError as exc:
         raise CheckpointError(f"checkpoint is not valid JSON: {exc}") from exc
-    if not isinstance(data, dict):
-        raise CheckpointError("checkpoint must be a JSON object")
     lines = _journal_lines(journal_path(p), hashlib.sha256(raw).hexdigest())
     if not lines:
         return data
     try:
         state = _journal_index(data)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise CheckpointError(f"checkpoint base is malformed: {exc!r}") from exc
-    for number, line in enumerate(lines, start=2):
-        try:
-            _journal_apply(state, json.loads(line))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise CheckpointError(
-                f"journal line {number} is malformed: {exc!r}"
-            ) from exc
-    try:
+        for number, line in enumerate(lines, start=2):
+            try:
+                _journal_apply(state, json.loads(line))
+            except (KeyError, TypeError, ValueError) as exc:
+                raise CheckpointError(f"journal line {number} is malformed: {exc!r}") from exc
         return _checkpoint_from_index(data, state)
-    except (KeyError, TypeError) as exc:
-        raise CheckpointError(f"journal replay is malformed: {exc!r}") from exc
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CheckpointError(f"checkpoint base or journal is malformed: {exc!r}") from exc

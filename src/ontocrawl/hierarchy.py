@@ -55,6 +55,19 @@ from .errors import (
 logger = logging.getLogger(__name__)
 
 CHECKPOINT_VERSION = 1
+_DOC_FIELDS = ("version", "seed", "concepts", "direct_edges")
+_RECORD_FIELDS = ("id", "canonical_name", "synonyms", "description", "explored", "depth")
+
+
+def json_fields(value, what: str, keys: tuple[str, ...]) -> list:
+    """The values of ``keys`` in ``value``; CheckpointError unless ``value``
+    is a JSON object with exactly those fields."""
+    try:
+        if isinstance(value, dict) and len(value) == len(keys):
+            return [value[k] for k in keys]
+    except KeyError:
+        pass
+    raise CheckpointError(f"{what} must be a JSON object with the fields {', '.join(keys)}")
 
 
 def normalize_name(name: str) -> str:
@@ -384,51 +397,41 @@ class ConceptHierarchy:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "ConceptHierarchy":
-        """Load a hierarchy document.  Its records are taken as stored; the
-        name index refuses an empty or repeated name as it is built, and
-        ``_verify_records`` is the one structural check.  A document that
-        cannot be parsed or fails a check raises CheckpointError."""
-        if not isinstance(data, dict):
-            raise CheckpointError("hierarchy document must be a JSON object")
-        if data.get("version") != CHECKPOINT_VERSION:
-            raise CheckpointError(
-                f"unsupported hierarchy version {data.get('version')!r}"
-            )
+        """Load a hierarchy document as ``to_json_dict`` writes it (its fields,
+        their types, concepts by increasing id, synonyms and edges sorted), so
+        that it saves back to itself, or raise CheckpointError.  Records are
+        taken as stored and checked as the module docstring says."""
+        version, seed, concepts, edges = json_fields(data, "hierarchy document", _DOC_FIELDS)
+        if type(version) is not int or version != CHECKPOINT_VERSION:
+            raise CheckpointError(f"unsupported hierarchy version {version!r}")
+        if type(concepts) is not list or not concepts or type(edges) is not list:
+            raise CheckpointError("a hierarchy needs a list of concepts and one of edges")
         try:
-            concepts = data["concepts"]
-            edges = data["direct_edges"]
-            seed = data["seed"]
-        except KeyError as exc:
-            raise CheckpointError(f"hierarchy document missing field {exc}") from None
-        if not concepts:
-            raise CheckpointError("hierarchy document has no concepts")
-
-        try:
-            by_id = sorted(concepts, key=lambda c: c["id"])
-            if by_id[0]["id"] != seed:
-                raise CheckpointError("seed must be the earliest concept")
-            h = cls(by_id[0]["canonical_name"])
-            h.seed_id = seed
-            h._concepts.clear()
-            h._names.clear()
-            for rec in by_id:
-                cid, depth = rec["id"], rec["depth"]
-                if type(cid) is not int or type(depth) is not int:
-                    raise CheckpointError(f"concept {cid!r}: id and depth must be ints")
-                concept = Concept(
-                    id=cid,
-                    canonical_name=rec["canonical_name"],
-                    synonym_names=set(rec.get("synonyms", [])),
-                    description=rec.get("description"),
-                    explored=bool(rec.get("explored", False)),
-                    depth=depth,
+            h = cls(concepts[0]["canonical_name"])
+            h._concepts, h._names, h._next_id = {}, {}, 0
+            for rec in concepts:
+                cid, name, synonyms, description, explored, depth = json_fields(
+                    rec, "concept record", _RECORD_FIELDS
                 )
-                h._concepts[cid] = concept
-                for name in concept.all_names():
-                    key = normalize_name(name)
+                if not (
+                    type(cid) is int and cid >= h._next_id and type(depth) is int
+                    and type(explored) is bool and type(synonyms) is list
+                    and synonyms == sorted(synonyms)
+                    and (description is None or type(description) is str)
+                ):
+                    raise CheckpointError(f"malformed concept record {rec!r}")
+                h._next_id = cid + 1
+                h._concepts[cid] = Concept(
+                    cid, name, set(synonyms), description, explored, depth
+                )
+                for label in (name, *synonyms):
+                    key = normalize_name(label)
                     if not key or key in h._names:
-                        raise CheckpointError(f"duplicate or empty name {name!r}")
+                        raise CheckpointError(f"duplicate or empty name {label!r}")
                     h._names[key] = cid
+            if type(seed) is not int or seed != concepts[0]["id"]:
+                raise CheckpointError("seed must be the earliest concept")
+            h.seed_id = seed
             stored: dict[tuple[int, int], str | None] = {}
             for pair in edges:
                 child, parent = pair
@@ -437,16 +440,15 @@ class ConceptHierarchy:
                 if child not in h._concepts or parent not in h._concepts:
                     raise CheckpointError(f"edge {pair} references unknown concept")
                 stored[(child, parent)] = None
-        except (
-            AttributeError, InvalidInputError, LookupError, TypeError, ValueError
-        ) as exc:
+        except (AttributeError, InvalidInputError, LookupError, TypeError, ValueError) as exc:
             raise CheckpointError(f"malformed hierarchy record: {exc!r}") from None
-        h._next_id = by_id[-1]["id"] + 1
         try:
             h._install_edges(stored)
             h._verify_records()
         except IntegrityError as exc:
             raise CheckpointError(f"hierarchy document is not a valid DAG: {exc}") from exc
+        if len(stored) < len(edges) or list(stored) != sorted(stored):
+            raise CheckpointError("direct edges must be sorted and distinct")
         h._reset_frontier()
         h._changed_ids, h._changed_edges = set(h._concepts), set(h._edge_origin)
         return h

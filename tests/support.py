@@ -126,39 +126,56 @@ def scan_next_unexplored(h: ConceptHierarchy, cutoff: int | None) -> int | None:
     return min(keys)[1] if keys else None
 
 
-# Malformed checkpoint fields: the key path a bad value is written to, the
-# value, and the CLI commands that read it (resume through
-# ``Crawler.from_checkpoint``).
-ALL_READERS = "stats resume export"
+# Malformed checkpoint fields: the key path a bad value is written to, and
+# the value (``ABSENT`` deletes the field).  ``parse_checkpoint`` is the one
+# reader of a checkpoint, so ``stats``, ``export`` and ``resume`` each refuse
+# every case with exit 2, and ``Crawler.from_checkpoint`` with CheckpointError.
+ABSENT = object()
 MALFORMED_CHECKPOINT_FIELDS = {
-    "edge endpoint a string": (("hierarchy", "direct_edges", 0, 0), "1", ALL_READERS),
-    "edge endpoint a float": (("hierarchy", "direct_edges", 0, 1), 0.0, ALL_READERS),
-    "edge origin not a triple": (("edge_origins",), [[1]], ALL_READERS),
-    "edge origin a list": (("edge_origins", 0, 2), [5], ALL_READERS),
-    "ledger count not a number": (("ledger", "requests"), "many", "stats resume"),
-    "ledger count a numeric string": (("ledger", "requests"), "7", "stats resume"),
-    "ledger count a bool": (("ledger", "requests"), True, "stats resume"),
-    "ledger dollars a string": (("ledger", "dollars"), "0.5", "stats resume"),
-    "rejection count not a number": (("counters", "rejections"), "x", "stats"),
-    "rejection count a float": (("counters", "rejections"), 2.9, "stats"),
-    "counter not a number": (("counters", "explorations"), "x", "resume"),
-    "counter a float": (("counters", "explorations"), 2.9, "resume"),
-    "rejections a string": (("rejections",), "ab", "resume"),
-    "rejection not an object": (("rejections",), [1], "resume"),
-    "discovery key not a number": (("discovered_from", "x"), 0, "resume"),
-    "frontier holds a list": (("frontier",), [[1]], "resume"),
+    "edge endpoint a string": (("hierarchy", "direct_edges", 0, 0), "1"),
+    "edge endpoint a float": (("hierarchy", "direct_edges", 0, 1), 0.0),
+    # The finished goats run stores [6, 1] and then [6, 4]; this makes both [6, 1].
+    "edge pair repeated": (("hierarchy", "direct_edges", 6, 1), 1),
+    "edge origin not a triple": (("edge_origins",), [[1]]),
+    "edge origin a list": (("edge_origins", 0, 2), [5]),
+    "edge origin of no stored edge": (("edge_origins", 0), ["", "", "x"]),
+    "edge origins empty": (("edge_origins",), []),
+    "description a number": (("hierarchy", "concepts", 1, "description"), 5),
+    "synonyms a string": (("hierarchy", "concepts", 1, "synonyms"), "xy"),
+    "explored a string": (("hierarchy", "concepts", 1, "explored"), "no"),
+    "ledger count not a number": (("ledger", "requests"), "many"),
+    "ledger count a numeric string": (("ledger", "requests"), "7"),
+    "ledger count a bool": (("ledger", "requests"), True),
+    "ledger dollars a string": (("ledger", "dollars"), "0.5"),
+    "ledger field unknown": (("ledger", "cents"), 0),
+    "rejection count not a number": (("counters", "rejections"), "x"),
+    "rejection count a float": (("counters", "rejections"), 2.9),
+    "rejection count not the rejections": (("counters", "rejections"), 3),
+    "counter not a number": (("counters", "explorations"), "x"),
+    "counter a float": (("counters", "explorations"), 2.9),
+    "rejections a string": (("rejections",), "ab"),
+    "rejection not an object": (("rejections",), [1]),
+    "discovery key not a number": (("discovered_from", "x"), 0),
+    "discovery key with a leading zero": (("discovered_from", "01"), "Goats"),
+    "discovery value a number": (("discovered_from", "1"), 7),
+    "frontier holds a list": (("frontier",), [[1]]),
+    "config missing": (("config",), ABSENT),
+    "config field missing": (("config", "params"), ABSENT),
 }
 
 
 def with_value_at(data: dict, path: tuple, value) -> dict:
     """A deep copy of checkpoint ``data`` with ``value`` written at key path
-    ``path``."""
+    ``path``, or the field there deleted when ``value`` is ``ABSENT``."""
     data = copy.deepcopy(data)
     *keys, last = path
     target = data
     for key in keys:
         target = target[key]
-    target[last] = value
+    if value is ABSENT:
+        del target[last]
+    else:
+        target[last] = value
     return data
 
 

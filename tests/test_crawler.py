@@ -5,6 +5,7 @@ from __future__ import annotations
 import copy
 import json
 import random
+from pathlib import Path
 
 import daggen
 import pytest
@@ -26,9 +27,9 @@ from ontocrawl import crawler as crawler_mod
 from ontocrawl.crawler import (
     _journal_apply,
     _journal_index,
-    hierarchy_from_checkpoint,
     journal_path,
     load_checkpoint,
+    parse_checkpoint,
     save_checkpoint,
 )
 from ontocrawl.errors import (
@@ -341,7 +342,7 @@ def test_frontier_heap_matches_a_linear_scan_after_every_step():
         for cutoff in (None, 1, 2, 3, 4, 6):
             assert h.next_unexplored(cutoff) == scan_next_unexplored(h, cutoff)
         if steps % 25 == 0:
-            loaded = hierarchy_from_checkpoint(crawler.to_checkpoint_dict())
+            loaded = parse_checkpoint(crawler.to_checkpoint_dict()).hierarchy
             assert loaded.next_unexplored() == scan_next_unexplored(h, None)
         if not crawler.step():
             break
@@ -712,10 +713,9 @@ def test_corrupted_checkpoints_are_refused(goats, tmp_path):
         bad = copy()
         del bad["config"]
         Crawler.from_checkpoint(bad, oracle)
-    for path, value, readers in MALFORMED_CHECKPOINT_FIELDS.values():
-        if "resume" in readers:
-            with pytest.raises(CheckpointError):
-                Crawler.from_checkpoint(with_value_at(good, path, value), oracle)
+    for path, value in MALFORMED_CHECKPOINT_FIELDS.values():
+        with pytest.raises(CheckpointError):
+            Crawler.from_checkpoint(with_value_at(good, path, value), oracle)
 
 
 def test_checkpoint_loader_file_errors(tmp_path):
@@ -793,6 +793,28 @@ def test_resume_keeps_the_rejections_of_the_aborted_run(goats, tmp_path):
     assert len(lines) == load_checkpoint(path)["counters"]["rejections"]
     assert [json.loads(line) for line in lines] == resumed.rejections
     assert len(resumed.rejections) > len(data["rejections"])
+
+
+def test_resume_writes_the_rejection_file_once(goats, tmp_path, monkeypatch):
+    crawler = make_mock_crawler(goats, noise=NOISY, checkpoint_path=tmp_path / "run.json")
+    for _ in range(4):
+        crawler.step()
+    assert crawler.rejections
+    rej_path = tmp_path / "rejected.jsonl"
+    writes = []
+    write_text = Path.write_text
+
+    def recording(path, *args, **kwargs):
+        writes.append(path)
+        return write_text(path, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "write_text", recording)
+    Crawler.from_checkpoint(
+        load_checkpoint(tmp_path / "run.json"), MockOracle(goats), rejection_path=rej_path
+    )
+    assert writes == [rej_path]
+    lines = rej_path.read_text(encoding="utf-8").splitlines()
+    assert [json.loads(line) for line in lines] == crawler.rejections
 
 
 def test_step_propagates_the_transport_error(goats, tmp_path):

@@ -16,7 +16,7 @@ from ontocrawl.errors import (
     NotFoundError,
 )
 from ontocrawl.hierarchy import topological_order
-from support import build_hierarchy, scan_next_unexplored
+from support import build_hierarchy, scan_next_unexplored, with_value_at
 
 
 def test_new_hierarchy_contains_only_the_seed():
@@ -472,6 +472,23 @@ def test_from_json_rejects_malformed_documents():
     orphan["concepts"].append({"id": 3, "canonical_name": "C", "depth": 1})
     with pytest.raises(CheckpointError):
         ConceptHierarchy.from_json_dict(orphan)
+
+    # Values that do not save back as they are stored.
+    for path, value in (
+        (("seed",), False),
+        (("direct_edges",), good["direct_edges"] + [good["direct_edges"][-1]]),
+        (("direct_edges",), good["direct_edges"][::-1]),
+        (("concepts", 1, "id"), 0),
+        (("concepts",), [good["concepts"][i] for i in (0, 2, 1)]),
+        (("concepts", 1, "explored"), "no"),
+        (("concepts", 1, "synonyms"), "xy"),
+        (("concepts", 1, "synonyms"), ["Zed", "Alpha"]),
+        (("concepts", 1, "synonyms"), ["Alpha", "Alpha"]),
+        (("concepts", 1, "description"), 5),
+        (("concepts", 1, "colour"), "red"),
+    ):
+        with pytest.raises(CheckpointError):
+            ConceptHierarchy.from_json_dict(with_value_at(good, path, value))
 
 
 def test_a_load_checks_each_stored_edge_once(monkeypatch):
