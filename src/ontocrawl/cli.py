@@ -164,9 +164,8 @@ def _build_oracle(
         fixture = config.oracle.split(":", 1)[1]
         taxonomy = GroundTruthTaxonomy.load(fixture)
         return MockOracle(taxonomy, query_log=query_log, ledger=ledger)
-    params = CompletionParams(**config.params) if config.params else CompletionParams()
     return ChatCompletionOracle(
-        params=params,
+        params=CompletionParams(**config.params),
         cache=ResponseCache(out_dir / "cache.jsonl"),
         query_log=query_log,
         ledger=ledger,

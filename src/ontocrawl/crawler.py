@@ -474,6 +474,8 @@ def parse_checkpoint(data: dict) -> Checkpoint:
             raise CheckpointError(f"edge origin {entry!r} is not [{child}, {parent}, origin]")
         h.set_edge_origin(child, parent, entry[2])
     explorations, _, probes_issued, probe_baseline = counts
+    # Every concept made keeps its discovered_from key after a merge: reuse no id.
+    h._next_id = max([h._next_id - 1, *map(int, discovered)]) + 1
     return Checkpoint(config, h, {int(k): v for k, v in discovered.items()},
                       CostLedger.from_dict(ledger), list(rejections),
                       explorations, probes_issued, probe_baseline)

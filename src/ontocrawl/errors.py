@@ -34,7 +34,7 @@ class IntegrityError(OntocrawlError):
 
 
 class CheckpointError(OntocrawlError):
-    """A checkpoint document has the wrong version or fails integrity checks."""
+    """A checkpoint, or the reply cache beside it, is malformed or fails its checks."""
 
 
 class ConfigError(OntocrawlError):

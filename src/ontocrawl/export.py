@@ -17,7 +17,6 @@ a raw CR or CRLF as LF and the label or comment would not survive a parse.
 
 from __future__ import annotations
 
-import json
 import logging
 from dataclasses import fields
 from urllib.parse import quote
@@ -123,7 +122,7 @@ def compute_stats(
     ledger: CostLedger,
     rejected_count: int,
     *,
-    config: CrawlConfig | None = None,
+    config: CrawlConfig,
 ) -> CrawlStats:
     """Summarize a finished crawl; counts derive from the hierarchy itself."""
     n_c = len(h)
@@ -141,7 +140,7 @@ def compute_stats(
         out = len(h.direct_children(concept.id))
         outdeg_hist[out] = outdeg_hist.get(out, 0) + 1
         max_out = max(max_out, out)
-    cutoff = config.exploration_depth if config else None
+    cutoff = config.exploration_depth
     if cutoff is None:
         below, above = n_c, 0
     else:
@@ -150,7 +149,7 @@ def compute_stats(
     return CrawlStats(
         seed=h.concept(h.seed_id).canonical_name,
         exploration_depth=cutoff,
-        ft=config.ft if config else 0,
+        ft=config.ft,
         n_concepts=n_c,
         n_dismissed=rejected_count,
         n_subsumptions=n_sub,

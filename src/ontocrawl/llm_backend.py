@@ -18,7 +18,7 @@ import re
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import ClassVar, Protocol
 
@@ -372,18 +372,24 @@ class CostLedger:
 
 
 class ResponseCache:
-    """Content-addressed reply cache, persisted as append-only JSONL."""
+    """Content-addressed reply cache, persisted as append-only JSONL; a torn
+    last line is cut off, any other bad line raises CheckpointError."""
 
     def __init__(self, path: str | Path | None = None):
         self.path = Path(path) if path is not None else None
         self._mem: dict[str, dict] = {}
         self._lock = threading.Lock()
         if self.path is not None and self.path.exists():
-            for line in self.path.read_text(encoding="utf-8").splitlines():
-                if not line.strip():
-                    continue
-                rec = json.loads(line)
-                self._mem[rec["key"]] = rec
+            raw = self.path.read_bytes()
+            *lines, torn = raw.split(b"\n")
+            if torn:  # uncommitted: cut it, so that the next append starts a line
+                os.truncate(self.path, len(raw) - len(torn))
+            for number, line in enumerate(lines, start=1):
+                try:
+                    rec = json.loads(line)
+                    self._mem[rec["key"]] = rec
+                except (LookupError, TypeError, ValueError) as exc:
+                    raise CheckpointError(f"{self.path} line {number}: {exc!r}") from exc
 
     @staticmethod
     def key_for(prompt: str, params: CompletionParams) -> str:

@@ -96,9 +96,12 @@ def is_acyclic(nodes: set[int], edges: set[tuple[int, int]]) -> bool:
     return all(n not in up.get(n, set()) for n in nodes)
 
 
-def to_fixture(edges: list[tuple[int, int]]) -> dict:
-    """Ground-truth taxonomy JSON dict for a generated DAG."""
+def to_fixture(edges: list[tuple[int, int]], *, annotate_every: int = 0) -> dict:
+    """Ground-truth taxonomy JSON dict for a generated DAG.  With
+    ``annotate_every`` k, every k-th node but the root gets one instance and
+    one part, the pool a wrong-relation answer draws from."""
     ids = {0} | {i for e in edges for i in e}
+    annotated = sorted(ids)[annotate_every::annotate_every] if annotate_every else []
     return {
         "root": name_for(0),
         "edges": [[name_for(c), name_for(p)] for c, p in sorted(edges)],
@@ -106,6 +109,6 @@ def to_fixture(edges: list[tuple[int, int]]) -> dict:
         "descriptions": {
             name_for(i): f"Synthetic category number {i}." for i in sorted(ids)
         },
-        "instances": {},
-        "parts": {},
+        "instances": {name_for(i): [f"Exemplar {i:03d}"] for i in annotated},
+        "parts": {name_for(i): [f"Component {i:03d}"] for i in annotated},
     }

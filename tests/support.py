@@ -18,6 +18,7 @@ from ontocrawl import (
     GroundTruthTaxonomy,
     MockOracle,
     NoiseModel,
+    OracleContext,
 )
 from ontocrawl.errors import TransportError
 from ontocrawl.llm_backend import (
@@ -36,8 +37,9 @@ def c2_dag(i: int) -> tuple[int, list[tuple[int, int]]]:
     return n, daggen.random_dag(rng, n, max_outdegree=5)
 
 
-def c2_taxonomy(i: int) -> GroundTruthTaxonomy:
-    return GroundTruthTaxonomy.from_json_dict(daggen.to_fixture(c2_dag(i)[1]))
+def c2_taxonomy(i: int, *, annotate_every: int = 0) -> GroundTruthTaxonomy:
+    fixture = daggen.to_fixture(c2_dag(i)[1], annotate_every=annotate_every)
+    return GroundTruthTaxonomy.from_json_dict(fixture)
 
 
 def build_hierarchy(edges: list[tuple[int, int]], n: int) -> ConceptHierarchy:
@@ -273,22 +275,43 @@ def decode(prompt: str) -> tuple[str, dict[str, str]]:
     return found[0]
 
 
+# Each yes/no-style template: the ``MockOracle`` method that answers it, the
+# slots it is asked about, and the reply words for True and for False.
+_BINARY_TEMPLATES = {
+    "existence": ("has_subconcepts", ("C",), "Yes", "No"),
+    "verify_instance": ("is_instance", ("D",), "Instance", "Subcategory"),
+    "verify_part": ("is_part", ("D",), "Part", "Subcategory"),
+    "verify_seed": ("under_seed", ("D",), "Yes", "No"),
+    "verify_subcat": ("is_subcategory_of", ("D", "C"), "Yes", "No"),
+    "synonym_interchangeable": ("interchangeable", ("D1", "D2"), "Yes", "No"),
+}
+
+
 class TaxonomyTransport:
-    """Answers chat-completion prompts straight from a ground-truth fixture,
-    by the template name and bindings ``decode`` reads from each prompt.
+    """Answers chat-completion prompts through a ``MockOracle`` over a
+    ground-truth fixture, with its ``noise`` and ``renames``: ``decode`` reads
+    the template name and bindings of each prompt, the matching oracle method
+    answers, and the answer is written as reply text.  So a crawl down the
+    LLM path and a mock crawl share one set of answer rules.
 
     A first-token draw (max_tokens=1) returns the first word of the listed
-    concept's first child, so exactly one token passes the threshold.  Rename
-    and synonym prompts, which no clean crawl sends, raise.  Every request
-    sleeps ``latency_s``; ``fail(template_name, bindings)``, asked under the
-    lock, refuses it non-retryably by returning True.  ``peak`` and
-    ``peak_by_template`` gauge the most requests ever in flight at once.
+    concept's first child, so exactly one token passes the threshold; a
+    rename to None is an empty reply.  Every request sleeps ``latency_s``;
+    ``fail(template_name, bindings)``, asked under the lock, refuses it
+    non-retryably by returning True.  ``peak`` and ``peak_by_template`` gauge
+    the most requests ever in flight at once.
     """
 
     def __init__(
-        self, taxonomy: GroundTruthTaxonomy, *, latency_s: float = 0.0, fail=None
+        self,
+        taxonomy: GroundTruthTaxonomy,
+        *,
+        noise: NoiseModel | None = None,
+        renames: dict[str, str] | None = None,
+        latency_s: float = 0.0,
+        fail=None,
     ):
-        self.taxonomy = taxonomy
+        self.oracle = MockOracle(taxonomy, noise, renames=renames)
         self.latency_s = latency_s
         self.fail = fail
         self.requests = self.peak = 0
@@ -316,26 +339,23 @@ class TaxonomyTransport:
                 self.in_flight[name] -= 1
 
     def _answer(self, name: str, b: dict[str, str], draw: bool) -> str:
-        tax = self.taxonomy
-        yes_no = lambda ok: "Yes" if ok else "No"
+        oracle = self.oracle
+        # Prompts that leave out the seed are asked of the fixture's root.
+        ctx = OracleContext(b.get("C0", oracle.taxonomy.root))
         if name in ("listing", "listing_continuation"):
-            kids = tax.children_of(b["C"])
+            # ft and n_samples only label query-log records; this oracle keeps none.
+            kids = oracle.list_subconcepts(ctx, b["C"], 1, 1)
             if draw:
                 return kids[0].split()[0] if kids else "None"
             return ", ".join(kids)
-        if name == "existence":
-            return yes_no(tax.children_of(b["C"]))
         if name == "description":
-            return "\n".join(
-                f"{t}: {tax.description_for(t) or f'A kind of {tax.root}.'}"
-                for t in b["terms"].split(", ")
-            )
-        if name == "verify_instance":
-            return "Instance" if tax.is_instance_name(b["D"]) else "Subcategory"
-        if name == "verify_part":
-            return "Part" if tax.is_part_name(b["D"]) else "Subcategory"
-        if name == "verify_seed":
-            return yes_no(tax.has_name(b["D"]) and tax.reaches(b["D"], b["C0"]))
-        if name == "verify_subcat":
-            return yes_no(tax.reaches(b["D"], b["C"]))
-        raise AssertionError(f"unscripted prompt: {name} {b}")
+            described = oracle.describe(ctx, b["terms"].split(", "))
+            return "\n".join(f"{term}: {text}" for term, text in described.items())
+        if name == "rename":
+            return oracle.rename_from_description(ctx, b["C"], b["description"]) or ""
+        if name == "synonym_direction":
+            low, high = oracle.subcategory_direction(ctx, b["D1"], b["D2"])
+            return f"[[{low}]] is a subcategory of [[{high}]]"
+        method, slots, yes, no = _BINARY_TEMPLATES[name]
+        answer = getattr(oracle, method)(ctx, *(b[slot] for slot in slots))
+        return yes if answer else no

@@ -219,6 +219,47 @@ def test_llm_backend_without_key_aborts_with_checkpoint(
     assert (out / "stats.txt").exists()
 
 
+CACHED_REPLY = '{"key": "k", "reply": "Yes"}\n'
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        CACHED_REPLY + '{"key": "k2", "rep\n',
+        CACHED_REPLY + "[1]\n",
+        '"k"\n',
+        '{"reply": "Yes"}\n',
+        '{"key": ["k"], "reply": "Yes"}\n',
+        "\n",
+    ],
+    ids=["torn inside", "a list", "a string", "no key", "key a list", "blank"],
+)
+def test_a_malformed_cache_line_exits_with_config_error(
+    text, tmp_path, monkeypatch, capsys
+):
+    monkeypatch.delenv("OPENAI_API_KEY", raising=False)
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "cache.jsonl").write_text(text, encoding="utf-8")
+    argv = ["crawl", "--seed", "Goats", "--oracle", "llm", "--out-dir", str(out)]
+    assert main(argv) == EXIT_CONFIG
+    assert "cache.jsonl line" in capsys.readouterr().err
+
+
+def test_a_torn_last_cache_line_is_cut_off(tmp_path, monkeypatch, capsys):
+    """The text after the last newline was never committed: the crawl reads
+    the lines before it and goes on to the endpoint, here one without a key."""
+    monkeypatch.delenv("OPENAI_API_KEY", raising=False)
+    out = tmp_path / "out"
+    out.mkdir()
+    cache = out / "cache.jsonl"
+    cache.write_text(CACHED_REPLY + '{"key": "k2", "rep', encoding="utf-8")
+    argv = ["crawl", "--seed", "Goats", "--oracle", "llm", "--out-dir", str(out)]
+    assert main(argv) == EXIT_ABORTED
+    assert "crawl aborted" in capsys.readouterr().err
+    assert cache.read_text(encoding="utf-8") == CACHED_REPLY
+
+
 @pytest.mark.parametrize("op", ["is_instance", "is_part", "under_seed"])
 def test_transport_failure_in_verification_exits_4_and_resumes(
     tmp_path, monkeypatch, finished_run, op

@@ -44,6 +44,7 @@ from support import (
     MALFORMED_CHECKPOINT_FIELDS,
     RaisingOracle,
     TaxonomyTransport,
+    c2_taxonomy,
     edge_names,
     make_mock_crawler,
     run_mock_crawl,
@@ -378,6 +379,22 @@ def test_checkpoint_file_mirrors_the_in_memory_state(goats, tmp_path):
         for line in lines[1:]:
             journaled |= {key for key, value in json.loads(line).items() if value}
     assert {"concepts", "edges", "dropped", "discovered_from", "rejections"} <= journaled
+
+
+def test_a_resumed_crawl_never_reuses_the_id_a_merge_removed(goats):
+    """A merge that removes the newest concept retires its id.  A crawl
+    resumed from that state numbers new concepts as the live crawl does, so
+    no ``discovered_from`` entry is overwritten."""
+    live = make_mock_crawler(goats)
+    for _ in range(2):
+        live.step()
+    live.hierarchy.merge_synonyms(*live.hierarchy.ids()[-2:])
+    oracle = MockOracle(goats)
+    resumed = Crawler.from_checkpoint(live.to_checkpoint_dict(), oracle)
+    oracle.ledger = resumed.ledger
+    live.run()
+    resumed.run()
+    assert resumed.to_checkpoint_dict() == live.to_checkpoint_dict()
 
 
 def test_journal_replays_a_synonym_merge(goats, tmp_path):
@@ -888,27 +905,89 @@ def test_a_transport_failure_in_verification_aborts_instead_of_rejecting(
 # the same crawl through the chat-completion oracle
 
 
-def test_prompt_driven_crawl_matches_the_mock_crawl(goats):
-    transport = TaxonomyTransport(goats)
+def _all_modes(seed: int) -> NoiseModel:
+    return NoiseModel(
+        rng_seed=seed,
+        p_hallucinated_edge=0.05,
+        p_missing_edge=0.1,
+        p_wrong_relation=0.2,
+        p_attribute_inflation=0.2,
+        p_nontransitive_denial=0.2,
+    )
+
+
+# (fixture, noise seed or None for a clean oracle, whether renames are on).
+# The c2 DAGs carry instances and parts, so that wrong relations are listed.
+EQUIVALENCE_CASES = [
+    *(
+        (fixture, seed, False)
+        for fixture in ("goats", *(f"c2-{i:02d}" for i in range(20)))
+        for seed in (None, 1, 2, 3)
+    ),
+    ("goats", 1, True),
+    ("c2-03", 1, True),
+]
+
+
+@pytest.mark.parametrize("max_in_flight", [1, 4])
+@pytest.mark.parametrize(
+    "fixture, seed, renamed",
+    EQUIVALENCE_CASES,
+    ids=[
+        f"{fixture}-{'clean' if seed is None else f'noise{seed}'}{'-renamed' * renamed}"
+        for fixture, seed, renamed in EQUIVALENCE_CASES
+    ],
+)
+def test_prompt_driven_crawl_matches_the_mock_crawl(
+    goats, fixture, seed, renamed, max_in_flight
+):
+    """A crawl down the LLM path, through prompts, replies and their parsers,
+    ends where the same crawl of ``MockOracle`` does, noise included."""
+    if fixture == "goats":
+        taxonomy = goats
+    else:
+        taxonomy = c2_taxonomy(int(fixture[3:]), annotate_every=3)
+    noise = None if seed is None else _all_modes(seed)
+    # Every undescribed candidate, such as an inflated name, is renamed to
+    # the first child of the root.
+    renames = (
+        {f"A kind of {taxonomy.root}.": taxonomy.children_of(taxonomy.root)[0]}
+        if renamed
+        else None
+    )
+    transport = TaxonomyTransport(taxonomy, noise=noise, renames=renames)
     oracle = ChatCompletionOracle(
         transport,
         params=CompletionParams(),
         ledger=CostLedger(),
-        max_in_flight=1,
+        max_in_flight=max_in_flight,
     )
-    config = CrawlConfig(seed_name="Goats", ft=5, n_samples=5)
+    config = CrawlConfig(seed_name=taxonomy.root, ft=5, n_samples=5)
     llm_crawler = Crawler(config, oracle, ledger=oracle.ledger)
     llm_crawler.run()
 
-    mock_crawler = run_mock_crawl(goats, ft=5, n_samples=5)
+    mock_crawler = run_mock_crawl(
+        taxonomy, noise=noise, renames=renames, ft=5, n_samples=5
+    )
 
-    lh, mh = llm_crawler.hierarchy, mock_crawler.hierarchy
-    assert lh.to_json_dict() == mh.to_json_dict()
-    origins = lambda h: {e: h.edge_origin(*e) for e in h.direct_edges()}
-    assert origins(lh) == origins(mh)
-    assert llm_crawler.rejections == mock_crawler.rejections == []
-    assert llm_crawler.probes_issued == mock_crawler.probes_issued
+    def outcome(crawler: Crawler) -> dict:
+        data = crawler.to_checkpoint_dict()
+        del data["ledger"], data["config"]["oracle"]
+        return data
+
+    assert outcome(llm_crawler) == outcome(mock_crawler)
     assert transport.requests > 0
+    if renamed:
+        answered = sum(
+            1
+            for rec in mock_crawler.query_log.records
+            if rec.get("op") == "rename_from_description" and rec["answer"]
+        )
+        refused = sum(
+            any(step == "rename" and answer for step, answer in rec["transcript"])
+            for rec in mock_crawler.rejections
+        )
+        assert answered > refused  # some rename was accepted on both paths
 
 
 def test_a_failed_first_token_draw_aborts_and_resumes_exactly(goats, tmp_path):

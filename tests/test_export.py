@@ -245,9 +245,9 @@ def test_dot_escapes_quotes_and_backslashes():
 
 def test_stats_for_a_singleton_run():
     h = ConceptHierarchy("Goats")
-    stats = compute_stats(h, CostLedger(), 0)
+    stats = compute_stats(h, CostLedger(), 0, config=CrawlConfig(seed_name="Goats"))
     assert stats.seed == "Goats"
-    assert stats.exploration_depth is None and stats.ft == 0
+    assert stats.exploration_depth is None and stats.ft == 20
     assert stats.n_concepts == 1
     assert stats.n_subsumptions == 0
     assert stats.prompts_per_concept == 0.0
