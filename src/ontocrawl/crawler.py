@@ -4,7 +4,9 @@ The frontier is the set of unexplored concepts above the depth cutoff,
 visited shallowest-first with discovery order as the tiebreak.  Every listed
 candidate is either recognized as an existing concept (rediscovery: a new
 edge, no re-verification) or verified and classified into the hierarchy.  An
-unrecoverable oracle failure aborts the run resumably.
+unrecoverable oracle failure aborts the run resumably.  With an oracle that
+has ``map``, a listing's verification dialogues are first run together to
+warm its reply cache (``verify_ahead``); decisions still come one by one.
 
 ``parse_checkpoint`` is the one reader of a checkpoint document: ``resume``,
 ``stats`` and ``export`` all read through it, so they refuse the same
@@ -45,7 +47,7 @@ from .errors import (
 from .hierarchy import ConceptHierarchy, json_fields, normalize_name
 from .llm_backend import CompletionParams, CostLedger
 from .oracle import KnowledgeOracle, OracleContext, QueryLog
-from .verification import verify
+from .verification import verify, verify_ahead
 
 logger = logging.getLogger(__name__)
 
@@ -256,6 +258,11 @@ class Crawler:
             known=self.hierarchy.description_of,
         )
         descriptions.update(self.oracle.describe(ctx, names))
+        # Warm the reply cache for the loop below, up to the capacity left.
+        cap = self.config.max_concepts
+        room = None if cap is None else cap - len(self.hierarchy)
+        fresh = (n for n in names if self.hierarchy.find_by_name(n) is None)
+        verify_ahead(self.oracle, ctx, itertools.islice(fresh, room), c_name)
 
         for cand in names:
             if self._at_capacity():

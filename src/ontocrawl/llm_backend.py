@@ -488,10 +488,11 @@ class ChatCompletionOracle:
     temperature-0 replies by content hash, counts every successful request in
     the cost ledger and appends one query-log record per request.
 
-    First-token sampling and ``are_subcategories`` send their requests
-    concurrently, through the ``max_in_flight`` threads of one pool that the
-    oracle creates on first use and keeps, so at most that many requests are
-    in flight at once.  With ``max_in_flight=1`` no thread is started.
+    ``map`` sends independent requests together: first-token draws,
+    continuations, probe waves (``are_subcategories``) and warmed dialogues.
+    The calling thread sends a share, alongside at most ``max_in_flight - 1``
+    threads of one pool made on first use and kept, so at most
+    ``max_in_flight`` requests are in flight at once; at 1, no thread starts.
     """
 
     def __init__(
@@ -520,54 +521,68 @@ class ChatCompletionOracle:
         self._pool: ThreadPoolExecutor | None = None
         self._pool_lock = threading.Lock()
 
-    def _map(self, fn, items) -> list:
-        """``[fn(x) for x in items]``, with up to ``max_in_flight`` calls at once.
-
-        After a call raises, no further item is started; the calls already
-        running finish, and the exception of the earliest failed item is raised.
+    def map(self, fn, items) -> list:
+        """``[fn(x) for x in items]``, with up to ``max_in_flight`` calls at once,
+        each thread claiming the next item from one shared iterator.  After a
+        call raises, no further item is started; the calls already running
+        finish, and the exception of the earliest failed item is raised.
         """
         items = list(items)
-        if min(self.max_in_flight, len(items)) < 2:
+        helpers = min(self.max_in_flight, len(items)) - 1
+        if helpers < 1:
             return [fn(x) for x in items]
+        results: list = [None] * len(items)
+        failures: dict[int, Exception] = {}
+        pending = iter(range(len(items)))
         stop, running = False, 0
-        idle = threading.Condition()
+        claim = threading.Lock()
+        idle = threading.Condition(claim)
 
-        def call(x):
+        def drain() -> None:
             nonlocal stop, running
-            with idle:
-                if stop:
-                    return None
+            with claim:
                 running += 1
             try:
-                return fn(x)
-            except BaseException:
-                stop = True
-                raise
+                while True:
+                    with claim:
+                        i = None if stop else next(pending, None)
+                    if i is None:
+                        return
+                    try:
+                        results[i] = fn(items[i])
+                    except Exception as exc:
+                        failures[i] = exc
+                        stop = True
             finally:
-                with idle:
+                # Items are gone or a call failed: either way nothing new starts.
+                with claim:
+                    stop = True
                     running -= 1
-                    idle.notify_all()
+                    if not running:
+                        idle.notify()
 
         with self._pool_lock:
             if self._pool is None:
                 # Looked up at call time, so a patched module name takes effect.
                 self._pool = ThreadPoolExecutor(
-                    max_workers=self.max_in_flight,
+                    max_workers=self.max_in_flight - 1,
                     thread_name_prefix="ontocrawl-oracle",
                 )
             pool = self._pool
         try:
-            futures = [pool.submit(call, x) for x in items]
-            # An item skipped after a failure returns None; it can come
-            # before the failed one, whose result() raises.
-            return [future.result() for future in futures]
+            futures = [pool.submit(drain) for _ in range(helpers)]
+            drain()
         finally:
-            # Also when the calling thread is interrupted, even inside
-            # submit() with its item queued but no future returned: start
-            # nothing new and wait for the calls already running.
+            # Also when the calling thread is interrupted, even inside submit():
+            # start nothing new and wait for the calls already running.
             with idle:
                 stop = True
                 idle.wait_for(lambda: not running)
+        for future in futures:
+            future.result()  # what a helper raised beyond ``Exception``
+        if failures:
+            raise failures[min(failures)]
+        return results
 
     # -- low level ---------------------------------------------------------
 
@@ -657,7 +672,7 @@ class ChatCompletionOracle:
                 prompt, self.sampling_params, template_name=template_name
             ).text
 
-        for text in self._map(one, range(n_samples)):
+        for text in self.map(one, range(n_samples)):
             token = text.strip()
             if token:
                 counts[token] = counts.get(token, 0) + 1
@@ -723,11 +738,11 @@ class ChatCompletionOracle:
             result = self.complete(base_prompt, self.params, template_name="listing")
             absorb(result.text)
             return collected
-        for token in tokens:
-            prompt = render("listing_continuation", {**bindings, "t": token}, ctx)
-            result = self.complete(
-                prompt, self.params, template_name="listing_continuation"
-            )
+        # Sent together, absorbed in token order.
+        continued = [render("listing_continuation", {**bindings, "t": t}, ctx) for t in tokens]
+        for result in self.map(
+            lambda p: self.complete(p, template_name="listing_continuation"), continued
+        ):
             absorb(result.text)
         return collected
 
@@ -774,7 +789,7 @@ class ChatCompletionOracle:
     ) -> list[bool]:
         """``is_subcategory_of`` for each ``(ctx, d, c)``, sent concurrently;
         the answers come back in question order."""
-        return self._map(lambda q: self.is_subcategory_of(*q), questions)
+        return self.map(lambda q: self.is_subcategory_of(*q), questions)
 
     def rename_from_description(
         self, ctx: OracleContext, c: str, description: str

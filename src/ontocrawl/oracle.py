@@ -68,10 +68,11 @@ class OracleContext:
 class KnowledgeOracle(Protocol):
     """Everything the crawl pipeline may ask about the domain.
 
-    An oracle may also offer ``are_subcategories(questions) -> list[bool]``,
-    answering a batch of ``(ctx, d, c)`` subcategory questions in order; the
-    insertion search hands it each wave of independent probes.  Without it the
-    questions go to ``is_subcategory_of`` one at a time.
+    Two optional hooks answer independent calls concurrently: ``map(fn,
+    items)``, ``[fn(x) for x in items]``, through which the crawler warms a
+    listing's verification dialogues, and ``are_subcategories(questions)``,
+    the answers to a wave of ``(ctx, d, c)`` insertion probes, in order.
+    Without them, every question is asked one at a time.
     """
 
     def has_subconcepts(self, ctx: OracleContext, c: str) -> bool: ...

@@ -9,12 +9,17 @@ run once more on the new name.  An inconclusive answer, one that cannot be
 parsed, rejects without a rename.  A transport failure is not an answer: it
 propagates, so the crawl aborts resumably instead of dismissing the
 candidate.  Worst case: 4 + 1 + 4 oracle calls.
+
+``verify_ahead`` runs a listing's dialogues concurrently and drops the
+verdicts: the crawler's own ``verify`` of each candidate, rendered later from
+live state, then replays from the reply cache every prompt that is unchanged.
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field, replace
+from typing import Iterable
 
 from .errors import OracleParseError
 from .hierarchy import normalize_name
@@ -119,3 +124,15 @@ def verify(oracle: KnowledgeOracle, ctx: OracleContext, d: str, c: str) -> Verdi
     if reason2 is None:
         return Verdict(ACCEPTED_RENAMED, new_name=new_name, transcript=transcript)
     return Verdict(REJECTED, reason=reason2, transcript=transcript)
+
+
+def verify_ahead(
+    oracle: KnowledgeOracle, ctx: OracleContext, names: Iterable[str], c: str
+) -> None:
+    """``verify`` every name at once through ``oracle.map``, for the replies
+    alone; without that hook, or for fewer than two names, do nothing and
+    leave ``names`` unread.  A transport failure propagates."""
+    concurrent = getattr(oracle, "map", None)
+    names = [] if concurrent is None else list(names)
+    if len(names) > 1:
+        concurrent(lambda d: verify(oracle, ctx, d, c), names)

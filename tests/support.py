@@ -42,6 +42,24 @@ def c2_taxonomy(i: int, *, annotate_every: int = 0) -> GroundTruthTaxonomy:
     return GroundTruthTaxonomy.from_json_dict(fixture)
 
 
+def all_noise_modes(seed: int) -> NoiseModel:
+    """Every noise mode on at once, drawn from ``seed``."""
+    return NoiseModel(
+        rng_seed=seed,
+        p_hallucinated_edge=0.05,
+        p_missing_edge=0.1,
+        p_wrong_relation=0.2,
+        p_attribute_inflation=0.2,
+        p_nontransitive_denial=0.2,
+    )
+
+
+def renames_onto_first_child(taxonomy: GroundTruthTaxonomy) -> dict[str, str]:
+    """A ``renames`` map sending every undescribed candidate, such as an
+    inflated name, to the first child of the root."""
+    return {f"A kind of {taxonomy.root}.": taxonomy.children_of(taxonomy.root)[0]}
+
+
 def build_hierarchy(edges: list[tuple[int, int]], n: int) -> ConceptHierarchy:
     """Materialize a daggen DAG; node i gets hierarchy id i."""
     h = ConceptHierarchy(daggen.name_for(0))
@@ -244,7 +262,9 @@ class StubTransport:
 def _template_patterns() -> list[tuple[str, re.Pattern]]:
     """``(template name, pattern)`` pairs inverting ``llm_backend.render``: one
     per body and number of context sentences, slots as named groups, a slot's
-    second use as a backreference, and trailing description lines allowed."""
+    second use as a backreference, and trailing description lines allowed.
+    Only a rename's description may be empty: verification sends ``""`` for
+    a candidate the description reply gave no text."""
     parent, own = CONTEXT_SENTENCE_PARENT + " ", CONTEXT_SENTENCE_SELF + " "
     out = []
     for tpl in TEMPLATES.values():
@@ -253,7 +273,8 @@ def _template_patterns() -> list[tuple[str, re.Pattern]]:
             parts = re.split(r"\{(\w+)\}", prefix + tpl.body)
             regex = re.escape(parts[0])
             for slot, text in zip(parts[1::2], parts[2::2]):
-                regex += f"(?P={slot})" if slot in seen else f"(?P<{slot}>.+?)"
+                fill = ".*?" if (tpl.name, slot) == ("rename", "description") else ".+?"
+                regex += f"(?P={slot})" if slot in seen else f"(?P<{slot}>{fill})"
                 regex += re.escape(text)
                 seen.add(slot)
             out.append((tpl.name, re.compile(regex + r"(?:\n.*)*")))

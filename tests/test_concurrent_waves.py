@@ -114,8 +114,8 @@ def test_requests_in_flight_never_exceed_the_bound(goats, tmp_path, max_in_fligh
     if max_in_flight == 1:
         assert transport.peak == 1
     else:
-        # Verification asks one subcategory question at a time, so overlapping
-        # ones are the probes of one insertion wave.
+        # Overlapping subcategory questions are the probes of one insertion
+        # wave, or the last questions of a listing's warmed dialogues.
         assert transport.peak_by_template["verify_subcat"] > 1
 
 
@@ -156,7 +156,7 @@ def test_one_pool_per_oracle_over_a_whole_crawl(goats, tmp_path, monkeypatch, ma
     crawler = llm_crawler(goats, tmp_path, TaxonomyTransport(goats), max_in_flight)
     crawler.run()
     assert len(crawler.hierarchy) == 14
-    assert created == ([] if max_in_flight == 1 else [max_in_flight])
+    assert created == ([] if max_in_flight == 1 else [max_in_flight - 1])
 
 
 def test_a_failed_probe_in_a_wave_aborts_resumably(tmp_path):

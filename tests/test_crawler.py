@@ -44,9 +44,11 @@ from support import (
     MALFORMED_CHECKPOINT_FIELDS,
     RaisingOracle,
     TaxonomyTransport,
+    all_noise_modes,
     c2_taxonomy,
     edge_names,
     make_mock_crawler,
+    renames_onto_first_child,
     run_mock_crawl,
     scan_next_unexplored,
     with_value_at,
@@ -905,17 +907,6 @@ def test_a_transport_failure_in_verification_aborts_instead_of_rejecting(
 # the same crawl through the chat-completion oracle
 
 
-def _all_modes(seed: int) -> NoiseModel:
-    return NoiseModel(
-        rng_seed=seed,
-        p_hallucinated_edge=0.05,
-        p_missing_edge=0.1,
-        p_wrong_relation=0.2,
-        p_attribute_inflation=0.2,
-        p_nontransitive_denial=0.2,
-    )
-
-
 # (fixture, noise seed or None for a clean oracle, whether renames are on).
 # The c2 DAGs carry instances and parts, so that wrong relations are listed.
 EQUIVALENCE_CASES = [
@@ -947,14 +938,8 @@ def test_prompt_driven_crawl_matches_the_mock_crawl(
         taxonomy = goats
     else:
         taxonomy = c2_taxonomy(int(fixture[3:]), annotate_every=3)
-    noise = None if seed is None else _all_modes(seed)
-    # Every undescribed candidate, such as an inflated name, is renamed to
-    # the first child of the root.
-    renames = (
-        {f"A kind of {taxonomy.root}.": taxonomy.children_of(taxonomy.root)[0]}
-        if renamed
-        else None
-    )
+    noise = None if seed is None else all_noise_modes(seed)
+    renames = renames_onto_first_child(taxonomy) if renamed else None
     transport = TaxonomyTransport(taxonomy, noise=noise, renames=renames)
     oracle = ChatCompletionOracle(
         transport,

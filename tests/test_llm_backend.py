@@ -229,6 +229,14 @@ def test_decode_inverts_render_for_every_template(names, context, described):
         assert decode(prompt) == (tpl.name, want)
 
 
+@pytest.mark.parametrize("described", [False, True])
+def test_decode_reads_a_rename_with_an_empty_description(described):
+    bindings = {"C0": "Goats", "C": "Dairy Goats", "description": ""}
+    ctx = OracleContext("Goats", descriptions={"Dairy Goats": "Kept for milk."})
+    prompt = render("rename", bindings, ctx if described else None)
+    assert decode(prompt) == ("rename", bindings)
+
+
 def test_decode_refuses_a_prompt_of_no_template():
     with pytest.raises(AssertionError, match=r"matches templates \[\]"):
         decode("Is a goat a sheep? Answer only with yes or no.")
@@ -519,7 +527,7 @@ def test_max_in_flight_below_one_is_refused(max_in_flight):
 
 def test_map_keeps_item_order_and_stops_at_a_failure():
     oracle = ChatCompletionOracle(StubTransport([]), max_in_flight=3)
-    assert oracle._map(lambda x: x * x, range(20)) == [x * x for x in range(20)]
+    assert oracle.map(lambda x: x * x, range(20)) == [x * x for x in range(20)]
 
     ran = []
 
@@ -531,14 +539,14 @@ def test_map_keeps_item_order_and_stops_at_a_failure():
         return x
 
     with pytest.raises(ValueError) as exc:
-        oracle._map(fn, range(12))
+        oracle.map(fn, range(12))
     # Item 1 is claimed before item 5, so it always runs and its error wins.
     assert exc.value.args == (1,)
     assert len(ran) < 12
 
 
 def test_map_stops_and_waits_when_the_caller_is_interrupted():
-    """A SIGINT while items run: nothing new starts, and ``_map`` returns
+    """A SIGINT while items run: nothing new starts, and ``map`` returns
     only once no call is running."""
     oracle = ChatCompletionOracle(StubTransport([]), max_in_flight=3)
     lock = threading.Lock()
@@ -558,7 +566,7 @@ def test_map_stops_and_waits_when_the_caller_is_interrupted():
                 running[0] -= 1
 
     with pytest.raises(KeyboardInterrupt):
-        oracle._map(fn, range(12))
+        oracle.map(fn, range(12))
     assert len(started) < 12
     assert running[0] == 0
 
