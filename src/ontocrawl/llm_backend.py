@@ -392,10 +392,13 @@ class ResponseCache:
                     raise CheckpointError(f"{self.path} line {number}: {exc!r}") from exc
 
     @staticmethod
-    def key_for(prompt: str, params: CompletionParams) -> str:
-        material = json.dumps(
-            {"prompt": prompt, **params.to_dict()}, sort_keys=True, ensure_ascii=False
-        )
+    def key_for(prompt: str, params: CompletionParams, attempt: int = 0) -> str:
+        """The key of ``prompt`` under ``params``; a retry of an unparseable
+        reply is keyed by its attempt number as well."""
+        fields = {"prompt": prompt, **params.to_dict()}
+        if attempt:
+            fields["attempt"] = attempt
+        material = json.dumps(fields, sort_keys=True, ensure_ascii=False)
         return hashlib.sha256(material.encode("utf-8")).hexdigest()
 
     def get(self, key: str) -> dict | None:
@@ -592,12 +595,12 @@ class ChatCompletionOracle:
         params: CompletionParams | None = None,
         *,
         template_name: str = "",
-        use_cache: bool = True,
+        attempt: int = 0,
     ) -> CompletionResult:
         params = params or self.params
         cacheable = params.temperature == 0.0
-        key = ResponseCache.key_for(prompt, params) if cacheable else None
-        if cacheable and use_cache:
+        key = ResponseCache.key_for(prompt, params, attempt) if cacheable else None
+        if cacheable:
             hit = self.cache.get(key)
             if hit is not None:
                 return CompletionResult(
@@ -692,10 +695,7 @@ class ChatCompletionOracle:
         prompt = render(template_name, bindings, ctx)
         for attempt in (0, 1):
             result = self.complete(
-                prompt,
-                self.params,
-                template_name=template_name,
-                use_cache=attempt == 0,
+                prompt, self.params, template_name=template_name, attempt=attempt
             )
             try:
                 return parser(result.text)

@@ -1,17 +1,26 @@
-"""Shared helpers: canned mock crawls, fake chat transports, oracle wrappers."""
+"""Shared helpers: canned mock crawls, fake chat transports, oracle wrappers,
+and the crawl matrix that runs each distinct crawl of a test session once."""
 
 from __future__ import annotations
 
 import copy
+import functools
 import random
 import re
 import threading
 import time
 from collections import Counter
+from contextlib import ExitStack, closing
+from dataclasses import dataclass, replace
 from pathlib import Path
+from types import MappingProxyType
+from typing import Mapping
+from unittest.mock import patch
 
 import daggen
 from ontocrawl import (
+    ChatCompletionOracle,
+    CompletionParams,
     ConceptHierarchy,
     Crawler,
     CrawlConfig,
@@ -19,7 +28,11 @@ from ontocrawl import (
     MockOracle,
     NoiseModel,
     OracleContext,
+    cli,
+    verification,
 )
+from ontocrawl import crawler as crawler_mod
+from ontocrawl.crawler import CrawlStats
 from ontocrawl.errors import TransportError
 from ontocrawl.llm_backend import (
     CONTEXT_SENTENCE_PARENT,
@@ -28,6 +41,12 @@ from ontocrawl.llm_backend import (
     CostLedger,
 )
 from ontocrawl.oracle import QueryLog
+
+GOATS_PATH = Path(__file__).parent / "fixtures" / "goats.json"
+
+# The fixtures the LLM path is checked on: goats and the first 20 random DAGs
+# of acceptance criterion 2.
+FIXTURE_NAMES = ("goats", *(f"c2-{i:02d}" for i in range(20)))
 
 
 def c2_dag(i: int) -> tuple[int, list[tuple[int, int]]]:
@@ -42,16 +61,49 @@ def c2_taxonomy(i: int, *, annotate_every: int = 0) -> GroundTruthTaxonomy:
     return GroundTruthTaxonomy.from_json_dict(fixture)
 
 
-def all_noise_modes(seed: int) -> NoiseModel:
-    """Every noise mode on at once, drawn from ``seed``."""
-    return NoiseModel(
-        rng_seed=seed,
-        p_hallucinated_edge=0.05,
-        p_missing_edge=0.1,
-        p_wrong_relation=0.2,
-        p_attribute_inflation=0.2,
-        p_nontransitive_denial=0.2,
+def taxonomy_of(fixture: str, annotate_every: int = 0) -> GroundTruthTaxonomy:
+    """Fixture ``fixture`` of ``FIXTURE_NAMES``; ``annotate_every`` gives a c2
+    DAG its instances and parts (goats carries its own)."""
+    if fixture == "goats":
+        return GroundTruthTaxonomy.load(GOATS_PATH)
+    return c2_taxonomy(int(fixture[3:]), annotate_every=annotate_every)
+
+
+def full_run_stats() -> CrawlStats:
+    """The statistics of a full goats run: the golden row of the summary table."""
+    return CrawlStats(
+        seed="Goats",
+        exploration_depth=None,
+        ft=20,
+        n_concepts=24,
+        n_dismissed=15,
+        n_subsumptions=24,
+        n_subsumptions_insertion=1,
+        prompts_per_concept=22.25,
+        cost_dollars=0.11,
+        concepts_at_or_below_cutoff=24,
+        concepts_above_cutoff=0,
+        depth_histogram={0: 1, 1: 7, 2: 14, 3: 2},
+        outdegree_histogram={0: 17, 1: 2, 2: 1, 4: 2, 5: 1, 7: 1},
+        max_outdegree=7,
+        avg_outdegree=1.0,
     )
+
+
+# The rate of each noise mode that ``all_noise_modes`` turns on.
+NOISE_RATES = {
+    "p_hallucinated_edge": 0.05,
+    "p_missing_edge": 0.1,
+    "p_wrong_relation": 0.2,
+    "p_attribute_inflation": 0.2,
+    "p_nontransitive_denial": 0.2,
+}
+
+
+def all_noise_modes(seed: int, **rates: float) -> NoiseModel:
+    """Every noise mode on at once, drawn from ``seed``, at ``NOISE_RATES``
+    unless ``rates`` gives another."""
+    return NoiseModel(rng_seed=seed, **{**NOISE_RATES, **rates})
 
 
 def renames_onto_first_child(taxonomy: GroundTruthTaxonomy) -> dict[str, str]:
@@ -106,7 +158,11 @@ def make_mock_crawler(
     checkpoint_path: str | Path | None = None,
     rejection_path: str | Path | None = None,
     query_log: QueryLog | None = None,
+    fail: tuple[str, BaseException, int] | None = None,
 ) -> Crawler:
+    """A crawl of ``MockOracle``; with ``fail``, ``(operation, error,
+    after)``, the oracle raises ``error`` on ``operation`` once it has
+    answered ``after`` calls of it (``RaisingOracle``)."""
     config = CrawlConfig(
         seed_name=taxonomy.root,
         exploration_depth=depth,
@@ -120,6 +176,9 @@ def make_mock_crawler(
     oracle = MockOracle(
         taxonomy, noise, renames=renames, query_log=query_log, ledger=ledger
     )
+    if fail is not None:
+        operation, error, after = fail
+        oracle = RaisingOracle(oracle, operation, error, after=after)
     return Crawler(
         config,
         oracle,
@@ -284,11 +343,16 @@ def _template_patterns() -> list[tuple[str, re.Pattern]]:
 _PATTERNS = _template_patterns()
 
 
-def decode(prompt: str) -> tuple[str, dict[str, str]]:
-    """The template name and slot bindings ``render`` made ``prompt`` from;
-    AssertionError unless exactly one pattern matches."""
+@functools.lru_cache(maxsize=None)
+def decode(prompt: str) -> tuple[str, Mapping[str, str]]:
+    """The template name and read-only slot bindings ``render`` made
+    ``prompt`` from; AssertionError unless exactly one pattern matches.  A
+    prompt always decodes the same way, so each is decoded once; a refusal
+    is not remembered and is raised again on every call."""
     found = [
-        (name, m.groupdict()) for name, p in _PATTERNS if (m := p.fullmatch(prompt))
+        (name, MappingProxyType(m.groupdict()))
+        for name, p in _PATTERNS
+        if (m := p.fullmatch(prompt))
     ]
     if len(found) != 1:
         names = [name for name, _ in found]
@@ -380,3 +444,234 @@ class TaxonomyTransport:
         method, slots, yes, no = _BINARY_TEMPLATES[name]
         answer = getattr(oracle, method)(ctx, *(b[slot] for slot in slots))
         return yes if answer else no
+
+
+# ---------------------------------------------------------------------------
+# crawls down the LLM path, and the crawl matrix
+
+
+class WithoutMap:
+    """Delegates to an oracle, except that it has no ``map``."""
+
+    def __init__(self, oracle):
+        self._oracle = oracle
+
+    def __getattr__(self, name):
+        if name == "map":
+            raise AttributeError(name)
+        return getattr(self._oracle, name)
+
+
+class BatchRecordingOracle(ChatCompletionOracle):
+    """Remembers the (d, c) pairs of every ``are_subcategories`` batch."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.batches: list[list[tuple[str, str]]] = []
+
+    def are_subcategories(self, questions):
+        self.batches.append([(d, c) for _ctx, d, c in questions])
+        return super().are_subcategories(questions)
+
+
+def llm_crawler(
+    transport,
+    seed_name: str,
+    *,
+    max_in_flight: int = 1,
+    hide_map: bool = False,
+    query_log: QueryLog | None = None,
+    out_dir: Path | None = None,
+    data: dict | None = None,
+    **config,
+) -> Crawler:
+    """A crawl of ``seed_name`` down the LLM path: a ``BatchRecordingOracle``
+    over ``transport``, behind ``WithoutMap`` if ``hide_map``, with ft and
+    n_samples 5 unless ``config`` says otherwise.  With ``out_dir``, the
+    checkpoint and the rejection file are written there; with checkpoint
+    ``data``, the crawl goes on from it."""
+    query_log = query_log if query_log is not None else QueryLog()
+    oracle = BatchRecordingOracle(
+        transport,
+        params=CompletionParams(),
+        query_log=query_log,
+        ledger=CostLedger(),
+        max_in_flight=max_in_flight,
+    )
+    crawl_oracle = WithoutMap(oracle) if hide_map else oracle
+    files = {"query_log": query_log}
+    if out_dir is not None:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        files["checkpoint_path"] = out_dir / "checkpoint.json"
+        files["rejection_path"] = out_dir / "rejected.jsonl"
+    if data is not None:
+        crawler = Crawler.from_checkpoint(data, crawl_oracle, **files)
+        oracle.ledger = crawler.ledger
+        return crawler
+    config = CrawlConfig(seed_name=seed_name, **{"ft": 5, "n_samples": 5, **config})
+    return Crawler(config, crawl_oracle, ledger=oracle.ledger, **files)
+
+
+def record_dialogues(patches: ExitStack, warmed: dict, looped: dict) -> None:
+    """Record into ``warmed`` and ``looped``, by ``(candidate, parent)``,
+    each verification dialogue run by a warm pass or by the crawler's loop
+    until ``patches`` closes: the prompts it asked, those of them sent
+    rather than answered from the cache, the name it was renamed to, and
+    whether that name was stored when it ran."""
+    local = threading.local()
+    verify, complete = verification.verify, ChatCompletionOracle.complete
+
+    def recorded(into):
+        def run(oracle, ctx, d, c):
+            record = local.record = into[(d, c)] = {"asked": [], "sent": []}
+            try:
+                verdict = verify(oracle, ctx, d, c)
+            finally:
+                local.record = None
+            record["new_name"] = verdict.new_name
+            record["stored"] = verdict.new_name and ctx.known(verdict.new_name)
+            return verdict
+
+        return run
+
+    def complete_recorded(oracle, prompt, *args, **kwargs):
+        result = complete(oracle, prompt, *args, **kwargs)
+        record = getattr(local, "record", None)
+        if record is not None:
+            record["asked"].append(prompt)
+            if not result.cached:
+                record["sent"].append(prompt)
+        return result
+
+    # ``verify_ahead`` looks ``verify`` up in its own module, the crawler's
+    # loop in the crawler's.
+    patches.enter_context(patch.object(verification, "verify", recorded(warmed)))
+    patches.enter_context(patch.object(crawler_mod, "verify", recorded(looped)))
+    patches.enter_context(patch.object(ChatCompletionOracle, "complete", complete_recorded))
+
+
+def frozen(value):
+    """``value`` with every dict made a read-only mapping and every list a tuple."""
+    if isinstance(value, dict):
+        return MappingProxyType({k: frozen(v) for k, v in value.items()})
+    if isinstance(value, (list, tuple)):
+        return tuple(frozen(v) for v in value)
+    return value
+
+
+@dataclass(frozen=True)
+class CrawlKey:
+    """Every field that defines a crawl of ``CrawlMatrix``."""
+
+    fixture: str
+    annotate_every: int = 0
+    seed: int | None = None
+    renamed: bool = False
+    ft: int = 5
+    n_samples: int = 5
+    max_concepts: int | None = None
+    llm: bool = False
+    max_in_flight: int = 1
+    hide_map: bool = False
+    files: bool = False
+
+
+@dataclass(frozen=True)
+class CrawlOutcome:
+    """What a finished crawl left, as read-only plain data."""
+
+    checkpoint: Mapping
+    prompts: tuple[str, ...]  # sorted
+    transport_requests: int
+    batch_sizes: tuple[int, ...]  # of each ``are_subcategories`` batch
+    warmed: Mapping  # the records of ``record_dialogues``
+    looped: Mapping
+    renames_answered: int  # by a mock oracle, with a name
+    out_dir: Path | None  # with ``files``: the CLI's outputs and queries.jsonl
+
+    @property
+    def ledger_requests(self) -> int:
+        return self.checkpoint["ledger"]["requests"]
+
+
+class CrawlMatrix:
+    """Each distinct crawl of a test session, run once and kept as a
+    ``CrawlOutcome``.  ``seed`` draws ``all_noise_modes`` (None is a clean
+    oracle) and ``renamed`` turns on ``renames_onto_first_child``.  ``mock``
+    crawls through ``MockOracle``; ``llm`` crawls down the LLM path through a
+    ``TaxonomyTransport``, under ``record_dialogues`` if the oracle has
+    ``map``.  Crawls that change behaviour (failure hooks, latency, patched
+    internals) run on their own instead."""
+
+    def __init__(self, out_dir: Path):
+        self.out_dir = out_dir
+        self.outcomes: dict[CrawlKey, CrawlOutcome] = {}
+
+    def llm(self, fixture: str, **key) -> CrawlOutcome:
+        return self.get(CrawlKey(fixture, llm=True, **key))
+
+    def mock(self, fixture: str, **key) -> CrawlOutcome:
+        return self.get(CrawlKey(fixture, **key))
+
+    def get(self, key: CrawlKey) -> CrawlOutcome:
+        if key.fixture == "goats":  # it carries its own instances and parts
+            key = replace(key, annotate_every=0)
+        if key not in self.outcomes:
+            self.outcomes[key] = self._crawl(key)
+        return self.outcomes[key]
+
+    def _crawl(self, key: CrawlKey) -> CrawlOutcome:
+        taxonomy = taxonomy_of(key.fixture, key.annotate_every)
+        answers = {
+            "noise": None if key.seed is None else all_noise_modes(key.seed),
+            "renames": renames_onto_first_child(taxonomy) if key.renamed else None,
+        }
+        config = {"ft": key.ft, "n_samples": key.n_samples, "max_concepts": key.max_concepts}
+        transport, out_dir, warmed, looped = None, None, {}, {}
+        if not key.llm:
+            crawler = run_mock_crawl(taxonomy, **answers, **config)
+        else:
+            transport = TaxonomyTransport(taxonomy, **answers)
+            out_dir = self.out_dir / f"crawl-{len(self.outcomes)}" if key.files else None
+            query_log = QueryLog(out_dir / "queries.jsonl" if out_dir else None)
+            crawler = llm_crawler(
+                transport,
+                taxonomy.root,
+                max_in_flight=key.max_in_flight,
+                hide_map=key.hide_map,
+                query_log=query_log,
+                out_dir=out_dir,
+                **config,
+            )
+            with ExitStack() as patches, closing(query_log):
+                if not key.hide_map:
+                    record_dialogues(patches, warmed, looped)
+                crawler.run()
+            if out_dir is not None:
+                cli._write_outputs(crawler, out_dir)
+        records = crawler.query_log.records
+        renames = [rec["answer"] for rec in records if rec.get("op") == "rename_from_description"]
+        return CrawlOutcome(
+            frozen(crawler.to_checkpoint_dict()),
+            tuple(sorted(rec["prompt"] for rec in records if "prompt" in rec)),
+            transport.requests if transport else 0,
+            tuple(len(batch) for batch in getattr(crawler.oracle, "batches", ())),
+            frozen(warmed),
+            frozen(looped),
+            sum(map(bool, renames)),
+            out_dir,
+        )
+
+
+def outcome(source: Crawler | CrawlOutcome, *without: str) -> dict:
+    """The checkpoint of ``source`` less its ledger and the fields named in
+    ``without``, each a key or ``"section.key"``, as a new dict."""
+    is_crawler = isinstance(source, Crawler)
+    data = source.to_checkpoint_dict() if is_crawler else dict(source.checkpoint)
+    for name in ("ledger", *without):
+        section, _, key = name.partition(".")
+        if key:
+            data[section] = {k: v for k, v in data[section].items() if k != key}
+        else:
+            del data[section]
+    return data

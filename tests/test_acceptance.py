@@ -29,7 +29,6 @@ from ontocrawl import (
     QueryLog,
     ResponseCache,
 )
-from ontocrawl.crawler import CrawlStats
 from ontocrawl.errors import CycleError
 from ontocrawl.export import compute_stats, render_stats_text, to_owl_rdfxml
 from ontocrawl.llm_backend import passing_tokens
@@ -49,6 +48,7 @@ from support import (
     build_hierarchy,
     c2_dag,
     edge_names,
+    full_run_stats,
     hierarchy_from_taxonomy,
     make_mock_crawler,
     reply,
@@ -379,24 +379,7 @@ def test_c8_statistics_match_hand_counts_and_the_golden_row(goats):
     assert stats.n_dismissed == 0
     assert stats.prompts_per_concept == round(crawler.ledger.requests / 14, 2)
 
-    full_run = CrawlStats(
-        seed="Goats",
-        exploration_depth=None,
-        ft=20,
-        n_concepts=24,
-        n_dismissed=15,
-        n_subsumptions=24,
-        n_subsumptions_insertion=1,
-        prompts_per_concept=22.25,
-        cost_dollars=0.11,
-        concepts_at_or_below_cutoff=24,
-        concepts_above_cutoff=0,
-        depth_histogram={0: 1, 1: 7, 2: 14, 3: 2},
-        outdegree_histogram={0: 17, 1: 2, 2: 1, 4: 2, 5: 1, 7: 1},
-        max_outdegree=7,
-        avg_outdegree=1.0,
-    )
-    row = render_stats_text(full_run).splitlines()[1].split()
+    row = render_stats_text(full_run_stats()).splitlines()[1].split()
     assert row == ["Goats", "none", "20", "24", "15", "24", "1",
                    "22.25", "0.11", "24", "0"]
 

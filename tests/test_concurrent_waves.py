@@ -4,80 +4,21 @@ from __future__ import annotations
 
 import json
 import sys
+from pathlib import Path
 
 import pytest
 
 from ontocrawl import (
     ChatCompletionOracle,
-    CompletionParams,
     CostLedger,
-    Crawler,
-    CrawlConfig,
     OracleContext,
     QueryLog,
-    cli,
     llm_backend,
 )
+from ontocrawl.cli import OUTPUT_FILES
 from ontocrawl.crawler import load_checkpoint
 from ontocrawl.errors import CrawlAbortedError
-from support import TaxonomyTransport, c2_taxonomy
-
-OUTPUT_FILES = (
-    "hierarchy.owl",
-    "hierarchy.dot",
-    "stats.json",
-    "stats.txt",
-    "checkpoint.json",
-    "rejected.jsonl",
-)
-
-
-class BatchRecordingOracle(ChatCompletionOracle):
-    """Remembers the (d, c) pairs of every ``are_subcategories`` batch."""
-
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self.batches: list[list[tuple[str, str]]] = []
-
-    def are_subcategories(self, questions):
-        self.batches.append([(d, c) for _ctx, d, c in questions])
-        return super().are_subcategories(questions)
-
-
-def llm_crawler(taxonomy, out_dir, transport, max_in_flight, *, query_log=None, data=None):
-    out_dir.mkdir(parents=True, exist_ok=True)
-    oracle = BatchRecordingOracle(
-        transport,
-        params=CompletionParams(),
-        query_log=query_log,
-        ledger=CostLedger(),
-        max_in_flight=max_in_flight,
-    )
-    files = {
-        "query_log": query_log,
-        "checkpoint_path": out_dir / "checkpoint.json",
-        "rejection_path": out_dir / "rejected.jsonl",
-    }
-    if data is not None:
-        crawler = Crawler.from_checkpoint(data, oracle, **files)
-        oracle.ledger = crawler.ledger
-        return crawler
-    config = CrawlConfig(seed_name=taxonomy.root, ft=5, n_samples=5)
-    return Crawler(config, oracle, ledger=oracle.ledger, **files)
-
-
-def crawl_to_files(taxonomy, out_dir, max_in_flight) -> Crawler:
-    query_log = QueryLog(out_dir / "queries.jsonl")
-    try:
-        crawler = llm_crawler(
-            taxonomy, out_dir, TaxonomyTransport(taxonomy), max_in_flight,
-            query_log=query_log,
-        )
-        crawler.run()
-    finally:
-        query_log.close()
-    cli._write_outputs(crawler, out_dir)
-    return crawler
+from support import FIXTURE_NAMES, TaxonomyTransport, llm_crawler, taxonomy_of
 
 
 def sorted_records(path) -> list[str]:
@@ -90,24 +31,20 @@ def sorted_records(path) -> list[str]:
     return sorted(out)
 
 
-def test_concurrent_waves_write_the_outputs_of_a_sequential_crawl(goats, tmp_path):
-    taxonomies = [goats, *map(c2_taxonomy, range(20))]
-    for i, taxonomy in enumerate(taxonomies):
-        wide = crawl_to_files(taxonomy, tmp_path / f"wide{i}", max_in_flight=4)
-        crawl_to_files(taxonomy, tmp_path / f"narrow{i}", max_in_flight=1)
-        assert any(len(b) > 1 for b in wide.oracle.batches)
+def test_concurrent_waves_write_the_outputs_of_a_sequential_crawl(crawls):
+    for fixture in FIXTURE_NAMES:
+        wide = crawls.llm(fixture, max_in_flight=4, files=True)
+        narrow = crawls.llm(fixture, max_in_flight=1, files=True)
+        assert any(size > 1 for size in wide.batch_sizes)
         for name in OUTPUT_FILES:
-            wide_bytes = (tmp_path / f"wide{i}" / name).read_bytes()
-            assert wide_bytes == (tmp_path / f"narrow{i}" / name).read_bytes(), name
-        assert sorted_records(tmp_path / f"wide{i}" / "queries.jsonl") == sorted_records(
-            tmp_path / f"narrow{i}" / "queries.jsonl"
-        )
+            read = sorted_records if name == "queries.jsonl" else Path.read_bytes
+            assert read(wide.out_dir / name) == read(narrow.out_dir / name), name
 
 
 @pytest.mark.parametrize("max_in_flight", [1, 2, 3])
 def test_requests_in_flight_never_exceed_the_bound(goats, tmp_path, max_in_flight):
     transport = TaxonomyTransport(goats, latency_s=0.005)
-    crawler = llm_crawler(goats, tmp_path, transport, max_in_flight)
+    crawler = llm_crawler(transport, goats.root, max_in_flight=max_in_flight, out_dir=tmp_path)
     crawler.run()
     assert len(crawler.hierarchy) == 14
     assert transport.peak <= max_in_flight
@@ -153,15 +90,19 @@ def test_one_pool_per_oracle_over_a_whole_crawl(goats, tmp_path, monkeypatch, ma
             super().__init__(*args, **kwargs)
 
     monkeypatch.setattr(llm_backend, "ThreadPoolExecutor", CountedPool)
-    crawler = llm_crawler(goats, tmp_path, TaxonomyTransport(goats), max_in_flight)
+    crawler = llm_crawler(
+        TaxonomyTransport(goats), goats.root, max_in_flight=max_in_flight, out_dir=tmp_path
+    )
     crawler.run()
     assert len(crawler.hierarchy) == 14
     assert created == ([] if max_in_flight == 1 else [max_in_flight - 1])
 
 
 def test_a_failed_probe_in_a_wave_aborts_resumably(tmp_path):
-    taxonomy = c2_taxonomy(0)
-    reference = llm_crawler(taxonomy, tmp_path / "ref", TaxonomyTransport(taxonomy), 4)
+    taxonomy = taxonomy_of("c2-00")
+    reference = llm_crawler(
+        TaxonomyTransport(taxonomy), taxonomy.root, max_in_flight=4, out_dir=tmp_path / "ref"
+    )
     reference.run()
     wave = next(b for b in reference.oracle.batches if len(b) > 1)
     d, c = wave[1]
@@ -178,14 +119,18 @@ def test_a_failed_probe_in_a_wave_aborts_resumably(tmp_path):
 
     out = tmp_path / "out"
     transport = TaxonomyTransport(taxonomy, fail=fail)
-    crawler = llm_crawler(taxonomy, out, transport, 4)
+    crawler = llm_crawler(transport, taxonomy.root, max_in_flight=4, out_dir=out)
     with pytest.raises(CrawlAbortedError):
         crawler.run()
     assert asked == 1
     assert crawler.oracle.batches[-1] == wave
 
     resumed = llm_crawler(
-        taxonomy, out, transport, 4, data=load_checkpoint(out / "checkpoint.json")
+        transport,
+        taxonomy.root,
+        max_in_flight=4,
+        out_dir=out,
+        data=load_checkpoint(out / "checkpoint.json"),
     )
     resumed.run()
     assert asked == 2

@@ -11,9 +11,6 @@ import daggen
 import pytest
 
 from ontocrawl import (
-    ChatCompletionOracle,
-    CompletionParams,
-    CostLedger,
     Crawler,
     CrawlConfig,
     GroundTruthTaxonomy,
@@ -41,14 +38,15 @@ from ontocrawl.errors import (
 from ontocrawl.export import compute_stats
 from ontocrawl.insertion import ORIGIN_INSERTION
 from support import (
+    FIXTURE_NAMES,
     MALFORMED_CHECKPOINT_FIELDS,
-    RaisingOracle,
     TaxonomyTransport,
     all_noise_modes,
     c2_taxonomy,
     edge_names,
+    llm_crawler,
     make_mock_crawler,
-    renames_onto_first_child,
+    outcome,
     run_mock_crawl,
     scan_next_unexplored,
     with_value_at,
@@ -153,7 +151,7 @@ def test_probe_counters_accumulate_against_the_brute_force_baseline(goats):
 
 
 def test_a_crawl_without_checkpoint_drains_the_change_set():
-    crawler = run_mock_crawl(random_taxonomy())
+    crawler = run_mock_crawl(c2_taxonomy(1))
     assert len(crawler.hierarchy) > 1
     assert crawler.hierarchy.take_changes() == (set(), set())
 
@@ -321,24 +319,10 @@ def checkpointed_crawler(goats, tmp_path, name="run.json"):
 NOISY = NoiseModel(rng_seed=1, p_attribute_inflation=0.3, p_wrong_relation=0.3)
 
 
-def random_taxonomy(seed: int = 9001) -> GroundTruthTaxonomy:
-    rng = random.Random(seed)
-    edges = daggen.random_dag(rng, rng.randint(10, 50), max_outdegree=5)
-    return GroundTruthTaxonomy.from_json_dict(daggen.to_fixture(edges))
-
-
 def test_frontier_heap_matches_a_linear_scan_after_every_step():
     edges = daggen.random_dag(random.Random(41), 150, max_outdegree=5)
     taxonomy = GroundTruthTaxonomy.from_json_dict(daggen.to_fixture(edges))
-    noise = NoiseModel(
-        rng_seed=5,
-        p_hallucinated_edge=0.05,
-        p_missing_edge=0.1,
-        p_wrong_relation=0.2,
-        p_attribute_inflation=0.2,
-        p_nontransitive_denial=0.2,
-    )
-    crawler = make_mock_crawler(taxonomy, noise=noise)
+    crawler = make_mock_crawler(taxonomy, noise=all_noise_modes(5))
     steps = 0
     while True:
         h = crawler.hierarchy
@@ -360,7 +344,7 @@ def test_checkpoint_file_mirrors_the_in_memory_state(goats, tmp_path):
             goats, noise=NOISY, checkpoint_path=tmp_path / "noisy.json"
         ),
         "dag": make_mock_crawler(
-            random_taxonomy(), checkpoint_path=tmp_path / "dag.json"
+            c2_taxonomy(1), checkpoint_path=tmp_path / "dag.json"
         ),
     }
     journaled: set[str] = set()
@@ -504,14 +488,7 @@ def test_each_journal_line_is_the_delta_between_consecutive_states(goats, tmp_pa
     dag_edges = daggen.random_dag(random.Random(120), 120, max_outdegree=5)
     noisy_dag = make_mock_crawler(
         GroundTruthTaxonomy.from_json_dict(daggen.to_fixture(dag_edges)),
-        noise=NoiseModel(
-            rng_seed=3,
-            p_hallucinated_edge=0.02,
-            p_missing_edge=0.1,
-            p_wrong_relation=0.2,
-            p_attribute_inflation=0.2,
-            p_nontransitive_denial=0.2,
-        ),
+        noise=all_noise_modes(3, p_hallucinated_edge=0.02),
         checkpoint_path=tmp_path / "dag.json",
     )
     merged = checkpointed_crawler(goats, tmp_path, "merge.json")
@@ -649,18 +626,8 @@ def test_journal_of_a_replaced_base_is_ignored(goats, tmp_path):
 
 def test_interrupt_mid_step_leaves_the_last_committed_step(goats, tmp_path):
     path = tmp_path / "run.json"
-    ledger = CostLedger()
-    flaky = RaisingOracle(
-        MockOracle(goats, ledger=ledger),
-        "is_subcategory_of",
-        KeyboardInterrupt(),
-        after=55,
-    )
-    crawler = Crawler(
-        CrawlConfig(seed_name="Goats", oracle="mock:fixture"),
-        flaky,
-        ledger=ledger,
-        checkpoint_path=path,
+    crawler = make_mock_crawler(
+        goats, checkpoint_path=path, fail=("is_subcategory_of", KeyboardInterrupt(), 55)
     )
     with pytest.raises(KeyboardInterrupt):
         while crawler.step():
@@ -683,10 +650,10 @@ def test_run_compacts_the_journal_into_the_checkpoint(goats, tmp_path):
     assert text == json.dumps(crawler.to_checkpoint_dict(), indent=2, ensure_ascii=False)
 
 
-def resume(goats, path):
+def resume(goats, path, noise=None, **files):
     data = load_checkpoint(path)
-    oracle = MockOracle(goats)
-    crawler = Crawler.from_checkpoint(data, oracle, checkpoint_path=path)
+    oracle = MockOracle(goats, noise)
+    crawler = Crawler.from_checkpoint(data, oracle, checkpoint_path=path, **files)
     oracle.ledger = crawler.ledger  # resume shares the restored ledger
     return crawler
 
@@ -752,19 +719,10 @@ def test_checkpoint_loader_file_errors(tmp_path):
 
 def test_transport_failure_checkpoints_and_aborts_resumably(goats, tmp_path):
     path = tmp_path / "aborted.json"
-    log = QueryLog()
-    ledger = CostLedger()
-    flaky = RaisingOracle(
-        MockOracle(goats, query_log=log, ledger=ledger),
-        "list_subconcepts",
-        TransportError("HTTP 503", status=503),
-    )
-    crawler = Crawler(
-        CrawlConfig(seed_name="Goats", oracle="mock:fixture"),
-        flaky,
-        query_log=log,
-        ledger=ledger,
+    crawler = make_mock_crawler(
+        goats,
         checkpoint_path=path,
+        fail=("list_subconcepts", TransportError("HTTP 503", status=503), 0),
     )
     with pytest.raises(CrawlAbortedError) as exc:
         crawler.run()
@@ -782,28 +740,19 @@ def test_transport_failure_checkpoints_and_aborts_resumably(goats, tmp_path):
 
 def test_resume_keeps_the_rejections_of_the_aborted_run(goats, tmp_path):
     path, rej_path = tmp_path / "run.json", tmp_path / "rejected.jsonl"
-    flaky = RaisingOracle(
-        MockOracle(goats, NOISY),
-        "list_subconcepts",
-        TransportError("HTTP 503", status=503),
-        after=4,
-    )
-    crawler = Crawler(
-        CrawlConfig(seed_name="Goats", oracle="mock:fixture"),
-        flaky,
+    crawler = make_mock_crawler(
+        goats,
+        noise=NOISY,
         checkpoint_path=path,
         rejection_path=rej_path,
+        fail=("list_subconcepts", TransportError("HTTP 503", status=503), 4),
     )
     with pytest.raises(CrawlAbortedError):
         crawler.run()
     assert crawler.rejections
 
     data = load_checkpoint(path)
-    oracle = MockOracle(goats, NOISY)
-    resumed = Crawler.from_checkpoint(
-        data, oracle, checkpoint_path=path, rejection_path=rej_path
-    )
-    oracle.ledger = resumed.ledger
+    resumed = resume(goats, path, NOISY, rejection_path=rej_path)
     assert len(rej_path.read_text(encoding="utf-8").splitlines()) == len(
         data["rejections"]
     )
@@ -837,13 +786,10 @@ def test_resume_writes_the_rejection_file_once(goats, tmp_path, monkeypatch):
 
 
 def test_step_propagates_the_transport_error(goats, tmp_path):
-    flaky = RaisingOracle(
-        MockOracle(goats), "has_subconcepts", TransportError("HTTP 502", status=502)
-    )
-    crawler = Crawler(
-        CrawlConfig(seed_name="Goats", oracle="mock:fixture"),
-        flaky,
+    crawler = make_mock_crawler(
+        goats,
         checkpoint_path=tmp_path / "boom.json",
+        fail=("has_subconcepts", TransportError("HTTP 502", status=502), 0),
     )
     with pytest.raises(TransportError):
         crawler.step()
@@ -867,40 +813,23 @@ def test_a_transport_failure_in_verification_aborts_instead_of_rejecting(
     the crawl, and the resumed crawl ends where an uninterrupted one does.
     Only the ledger and counters differ: the interrupted step is asked again.
     """
-
-    def outcome(crawler):
-        data = crawler.to_checkpoint_dict()
-        del data["ledger"], data["counters"]
-        return data
-
     uninterrupted = run_mock_crawl(goats, noise=noise)
-    expected = outcome(uninterrupted)
+    expected = outcome(uninterrupted, "counters")
     for op in VERIFICATION_OPS:
         calls = uninterrupted.query_log.count(op=op)
         assert calls or (noise is None and op == "rename_from_description")
         for k in range(calls):
             path = tmp_path / f"{op}-{k}.json"
-            flaky = RaisingOracle(
-                MockOracle(goats, noise),
-                op,
-                TransportError("HTTP 401", status=401, retryable=False),
-                after=k,
-            )
-            crawler = Crawler(
-                CrawlConfig(seed_name="Goats", oracle="mock:fixture"),
-                flaky,
-                checkpoint_path=path,
+            error = TransportError("HTTP 401", status=401, retryable=False)
+            crawler = make_mock_crawler(
+                goats, noise=noise, checkpoint_path=path, fail=(op, error, k)
             )
             with pytest.raises(CrawlAbortedError):
                 crawler.run()
-            assert flaky.calls == k + 1
-            oracle = MockOracle(goats, noise)
-            resumed = Crawler.from_checkpoint(
-                load_checkpoint(path), oracle, checkpoint_path=path
-            )
-            oracle.ledger = resumed.ledger
+            assert crawler.oracle.calls == k + 1
+            resumed = resume(goats, path, noise)
             resumed.run()
-            assert outcome(resumed) == expected, (op, k)
+            assert outcome(resumed, "counters") == expected, (op, k)
 
 
 # ---------------------------------------------------------------------------
@@ -910,11 +839,7 @@ def test_a_transport_failure_in_verification_aborts_instead_of_rejecting(
 # (fixture, noise seed or None for a clean oracle, whether renames are on).
 # The c2 DAGs carry instances and parts, so that wrong relations are listed.
 EQUIVALENCE_CASES = [
-    *(
-        (fixture, seed, False)
-        for fixture in ("goats", *(f"c2-{i:02d}" for i in range(20)))
-        for seed in (None, 1, 2, 3)
-    ),
+    *((fixture, seed, False) for fixture in FIXTURE_NAMES for seed in (None, 1, 2, 3)),
     ("goats", 1, True),
     ("c2-03", 1, True),
 ]
@@ -930,49 +855,21 @@ EQUIVALENCE_CASES = [
     ],
 )
 def test_prompt_driven_crawl_matches_the_mock_crawl(
-    goats, fixture, seed, renamed, max_in_flight
+    crawls, fixture, seed, renamed, max_in_flight
 ):
     """A crawl down the LLM path, through prompts, replies and their parsers,
     ends where the same crawl of ``MockOracle`` does, noise included."""
-    if fixture == "goats":
-        taxonomy = goats
-    else:
-        taxonomy = c2_taxonomy(int(fixture[3:]), annotate_every=3)
-    noise = None if seed is None else all_noise_modes(seed)
-    renames = renames_onto_first_child(taxonomy) if renamed else None
-    transport = TaxonomyTransport(taxonomy, noise=noise, renames=renames)
-    oracle = ChatCompletionOracle(
-        transport,
-        params=CompletionParams(),
-        ledger=CostLedger(),
-        max_in_flight=max_in_flight,
-    )
-    config = CrawlConfig(seed_name=taxonomy.root, ft=5, n_samples=5)
-    llm_crawler = Crawler(config, oracle, ledger=oracle.ledger)
-    llm_crawler.run()
-
-    mock_crawler = run_mock_crawl(
-        taxonomy, noise=noise, renames=renames, ft=5, n_samples=5
-    )
-
-    def outcome(crawler: Crawler) -> dict:
-        data = crawler.to_checkpoint_dict()
-        del data["ledger"], data["config"]["oracle"]
-        return data
-
-    assert outcome(llm_crawler) == outcome(mock_crawler)
-    assert transport.requests > 0
+    key = {"annotate_every": 3, "seed": seed, "renamed": renamed}
+    llm = crawls.llm(fixture, max_in_flight=max_in_flight, **key)
+    mock = crawls.mock(fixture, **key)
+    assert outcome(llm, "config.oracle") == outcome(mock, "config.oracle")
+    assert llm.transport_requests > 0
     if renamed:
-        answered = sum(
-            1
-            for rec in mock_crawler.query_log.records
-            if rec.get("op") == "rename_from_description" and rec["answer"]
-        )
         refused = sum(
             any(step == "rename" and answer for step, answer in rec["transcript"])
-            for rec in mock_crawler.rejections
+            for rec in mock.checkpoint["rejections"]
         )
-        assert answered > refused  # some rename was accepted on both paths
+        assert mock.renames_answered > refused  # some rename was accepted on both paths
 
 
 def test_a_failed_first_token_draw_aborts_and_resumes_exactly(goats, tmp_path):
@@ -980,18 +877,6 @@ def test_a_failed_first_token_draw_aborts_and_resumes_exactly(goats, tmp_path):
     instead of lowering the token counts, and the resumed crawl ends where
     an uninterrupted one does.  Only the ledger differs: the interrupted
     step is asked again."""
-
-    def llm_crawler(transport, **kwargs) -> Crawler:
-        oracle = ChatCompletionOracle(
-            transport, params=CompletionParams(), ledger=CostLedger(), max_in_flight=1
-        )
-        config = CrawlConfig(seed_name="Goats", ft=3, n_samples=3)
-        return Crawler(config, oracle, ledger=oracle.ledger, **kwargs)
-
-    def outcome(crawler: Crawler) -> dict:
-        data = crawler.to_checkpoint_dict()
-        del data["ledger"]
-        return data
 
     def draw_counter(fail_at: int | None = None):
         """Counts listing requests, all first-token draws here since a first
@@ -1007,23 +892,22 @@ def test_a_failed_first_token_draw_aborts_and_resumes_exactly(goats, tmp_path):
         return TaxonomyTransport(goats, fail=fail), draws
 
     counting, draws = draw_counter()
-    uninterrupted = llm_crawler(counting)
+    uninterrupted = llm_crawler(counting, "Goats", ft=3, n_samples=3)
     uninterrupted.run()
     expected = outcome(uninterrupted)
     assert draws and len(draws) % 3 == 0  # three per listing
     for k in range(len(draws)):
-        path = tmp_path / f"draw-{k}.json"
+        out_dir = tmp_path / f"draw-{k}"
         failing, failed_draws = draw_counter(fail_at=k)
         with pytest.raises(CrawlAbortedError):
-            llm_crawler(failing, checkpoint_path=path).run()
+            llm_crawler(failing, "Goats", ft=3, n_samples=3, out_dir=out_dir).run()
         assert len(failed_draws) == k + 1
-        oracle = ChatCompletionOracle(
-            TaxonomyTransport(goats), params=CompletionParams(), max_in_flight=1
+        resumed = llm_crawler(
+            TaxonomyTransport(goats),
+            "Goats",
+            out_dir=out_dir,
+            data=load_checkpoint(out_dir / "checkpoint.json"),
         )
-        resumed = Crawler.from_checkpoint(
-            load_checkpoint(path), oracle, checkpoint_path=path
-        )
-        oracle.ledger = resumed.ledger
         resumed.run()
         assert outcome(resumed) == expected, k
 

@@ -9,7 +9,6 @@ from urllib.parse import quote
 import pytest
 
 from ontocrawl import ConceptHierarchy, CostLedger, CrawlConfig
-from ontocrawl.crawler import CrawlStats
 from ontocrawl.errors import ExportError
 from ontocrawl.export import (
     DEFAULT_BASE_IRI,
@@ -29,6 +28,7 @@ from owl_check import doc_matches_hierarchy, parse_owl
 from support import (
     build_hierarchy,
     c2_taxonomy,
+    full_run_stats,
     hierarchy_from_taxonomy,
     run_mock_crawl,
 )
@@ -281,26 +281,6 @@ def test_stats_counts_by_hand():
     assert stats.concepts_above_cutoff == 2
     # Every reduction edge is someone's outgoing child edge.
     assert sum(k * v for k, v in stats.outdegree_histogram.items()) == 5
-
-
-def full_run_stats() -> CrawlStats:
-    return CrawlStats(
-        seed="Goats",
-        exploration_depth=None,
-        ft=20,
-        n_concepts=24,
-        n_dismissed=15,
-        n_subsumptions=24,
-        n_subsumptions_insertion=1,
-        prompts_per_concept=22.25,
-        cost_dollars=0.11,
-        concepts_at_or_below_cutoff=24,
-        concepts_above_cutoff=0,
-        depth_histogram={0: 1, 1: 7, 2: 14, 3: 2},
-        outdegree_histogram={0: 17, 1: 2, 2: 1, 4: 2, 5: 1, 7: 1},
-        max_outdegree=7,
-        avg_outdegree=1.0,
-    )
 
 
 def test_stats_text_rendering_golden():

@@ -14,7 +14,6 @@ from ontocrawl import (
     ConceptHierarchy,
     GroundTruthTaxonomy,
     MockOracle,
-    NoiseModel,
     OracleContext,
     QueryLog,
     insert,
@@ -26,6 +25,7 @@ from ontocrawl.llm_backend import render
 import daggen
 from support import (
     StubTransport,
+    all_noise_modes,
     edge_names,
     hierarchy_from_taxonomy,
     reply,
@@ -364,14 +364,7 @@ def pinned_noisy_stream() -> list[list]:
     """(op, d, c) of every query-log record of a noisy n=300 daggen crawl."""
     edges = daggen.random_dag(random.Random(300), 300, max_outdegree=5)
     taxonomy = GroundTruthTaxonomy.from_json_dict(daggen.to_fixture(edges))
-    noise = NoiseModel(
-        rng_seed=3,
-        p_hallucinated_edge=0.02,
-        p_missing_edge=0.1,
-        p_wrong_relation=0.2,
-        p_attribute_inflation=0.2,
-        p_nontransitive_denial=0.2,
-    )
+    noise = all_noise_modes(3, p_hallucinated_edge=0.02)
     crawler = run_mock_crawl(taxonomy, noise=noise)
     return [[r["op"], r.get("d"), r.get("c")] for r in crawler.query_log.records]
 

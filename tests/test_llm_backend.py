@@ -238,11 +238,17 @@ def test_decode_reads_a_rename_with_an_empty_description(described):
 
 
 def test_decode_refuses_a_prompt_of_no_template():
-    with pytest.raises(AssertionError, match=r"matches templates \[\]"):
-        decode("Is a goat a sheep? Answer only with yes or no.")
+    # Each prompt is decoded once, but a refusal is raised on every call.
+    for _ in range(2):
+        with pytest.raises(AssertionError, match=r"matches templates \[\]"):
+            decode("Is a goat a sheep? Answer only with yes or no.")
     prompt = render("verify_seed", {"D": "Dairy Goats", "C0": "Goats"})
     with pytest.raises(AssertionError):
         decode(prompt.replace("considered", "seen as"))
+    bindings = decode(prompt)[1]
+    assert decode(prompt) is decode(prompt)
+    with pytest.raises(TypeError):  # the bindings are shared, so read-only
+        bindings["D"] = "Meat Goats"
 
 
 # ---------------------------------------------------------------------------
@@ -372,6 +378,9 @@ def test_response_cache_persists_to_disk(tmp_path):
     assert key == ResponseCache.key_for("a prompt", params)
     assert key != ResponseCache.key_for("another prompt", params)
     assert key != ResponseCache.key_for("a prompt", CompletionParams(max_tokens=8))
+    # A first asking keeps the key that existing cache files were written with.
+    assert key == "d8e22e5a1ecf640c2ac3f5bb812df76dc142c020d5acf4ba98a71033698dd229"
+    assert key != ResponseCache.key_for("a prompt", params, attempt=1)
 
     cache = ResponseCache(path)
     cache.put(key, {"reply": "Yes", "prompt_tokens": 3, "completion_tokens": 1})
@@ -632,12 +641,16 @@ def test_unparseable_reply_retries_once_bypassing_the_cache():
     oracle, transport, _ = make_oracle([reply("hmm"), reply("Yes")])
     assert oracle.is_subcategory_of(CTX, "Saanen", "Dairy Goats") is True
     assert len(transport.bodies) == 2
+    # The retry is cached under its own key, so asking again sends nothing.
+    assert oracle.is_subcategory_of(CTX, "Saanen", "Dairy Goats") is True
+    assert len(transport.bodies) == 2
 
 
 def test_unparseable_reply_twice_raises():
     oracle, transport, _ = make_oracle([reply("hmm"), reply("still hmm")])
-    with pytest.raises(OracleParseError, match="after retry"):
-        oracle.under_seed(CTX, "Boer")
+    for _ in range(2):
+        with pytest.raises(OracleParseError, match="after retry"):
+            oracle.under_seed(CTX, "Boer")
     assert len(transport.bodies) == 2
 
 

@@ -12,30 +12,7 @@ import hashlib
 
 import pytest
 
-from ontocrawl import (
-    ChatCompletionOracle,
-    CompletionParams,
-    Crawler,
-    CrawlConfig,
-    QueryLog,
-)
-from support import TaxonomyTransport, c2_taxonomy
-
-FIXTURES = ("goats", *(f"c2-{i:02d}" for i in range(20)))
-
-
-def crawl_traffic(taxonomy, max_in_flight: int) -> tuple[int, str]:
-    transport, log = TaxonomyTransport(taxonomy), QueryLog()
-    oracle = ChatCompletionOracle(
-        transport, params=CompletionParams(), query_log=log, max_in_flight=max_in_flight
-    )
-    config = CrawlConfig(seed_name=taxonomy.root, ft=5, n_samples=5)
-    Crawler(config, oracle, ledger=oracle.ledger).run()
-    prompts = sorted(rec["prompt"] for rec in log.records)
-    assert len(prompts) == transport.requests == oracle.ledger.requests
-    digest = hashlib.sha256("\0".join(prompts).encode("utf-8")).hexdigest()
-    return transport.requests, digest
-
+from support import FIXTURE_NAMES
 
 # Recorded from these crawls; a change that alters any prompt, or how often
 # one is sent, changes the pin.
@@ -65,7 +42,11 @@ PINNED_TRAFFIC = {
 
 
 @pytest.mark.parametrize("max_in_flight", [1, 4])
-@pytest.mark.parametrize("name", FIXTURES)
-def test_llm_crawl_sends_the_pinned_prompts(name, max_in_flight, goats):
-    taxonomy = goats if name == "goats" else c2_taxonomy(int(name[3:]))
-    assert crawl_traffic(taxonomy, max_in_flight) == PINNED_TRAFFIC[name]
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_llm_crawl_sends_the_pinned_prompts(name, max_in_flight, crawls):
+    # The crawls of the byte test in test_concurrent_waves.py.
+    crawl = crawls.llm(name, max_in_flight=max_in_flight, files=True)
+    prompts = crawl.prompts
+    assert len(prompts) == crawl.transport_requests == crawl.ledger_requests
+    digest = hashlib.sha256("\0".join(prompts).encode("utf-8")).hexdigest()
+    assert (crawl.transport_requests, digest) == PINNED_TRAFFIC[name]

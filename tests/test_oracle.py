@@ -26,7 +26,7 @@ from ontocrawl import (
 from ontocrawl.errors import InvalidInputError
 from ontocrawl.llm_backend import CostLedger
 from ontocrawl.oracle import _INFLATION_PREFIXES
-from support import c2_dag
+from support import NOISE_RATES, all_noise_modes, c2_dag
 
 # A small taxonomy with a synonym pair, an instance and two parts, so every
 # noise mode has material to work with.
@@ -269,14 +269,7 @@ def test_interchangeable_is_symmetric_and_tracks_classes(farm):
 
 
 def test_under_seed_tracks_fixture_membership(goats):
-    noisy = NoiseModel(
-        rng_seed=1,
-        p_hallucinated_edge=1.0,
-        p_missing_edge=1.0,
-        p_wrong_relation=1.0,
-        p_attribute_inflation=1.0,
-        p_nontransitive_denial=1.0,
-    )
+    noisy = all_noise_modes(1, **dict.fromkeys(NOISE_RATES, 1.0))
     for noise in (None, noisy):  # under_seed must shrug off every noise mode
         oracle, ctx = mk(goats, noise)
         names = [goats.root] + sorted({n for e in goats.edges for n in e})
@@ -289,16 +282,7 @@ def test_under_seed_tracks_fixture_membership(goats):
 # seeded noise
 
 
-@pytest.mark.parametrize(
-    "name",
-    [
-        "p_hallucinated_edge",
-        "p_missing_edge",
-        "p_wrong_relation",
-        "p_attribute_inflation",
-        "p_nontransitive_denial",
-    ],
-)
+@pytest.mark.parametrize("name", NOISE_RATES)
 def test_every_noise_probability_must_lie_in_the_unit_interval(name):
     for p in (-0.25, 1.5):
         message = f"{name} must be within [0, 1], got {p}"
@@ -307,14 +291,7 @@ def test_every_noise_probability_must_lie_in_the_unit_interval(name):
     assert getattr(NoiseModel(**{name: 1.0}), name) == 1.0
 
 
-FULL_NOISE = NoiseModel(
-    rng_seed=11,
-    p_hallucinated_edge=0.5,
-    p_missing_edge=0.5,
-    p_wrong_relation=0.5,
-    p_attribute_inflation=0.5,
-    p_nontransitive_denial=0.5,
-)
+FULL_NOISE = all_noise_modes(11, **dict.fromkeys(NOISE_RATES, 0.5))
 
 
 def test_noisy_answers_do_not_depend_on_query_order(goats):
@@ -393,14 +370,7 @@ def test_nontransitive_denial_flips_only_indirect_pairs(goats):
 
 
 def test_membership_checks_ignore_noise(farm):
-    noise = NoiseModel(
-        rng_seed=9,
-        p_hallucinated_edge=1.0,
-        p_missing_edge=1.0,
-        p_wrong_relation=1.0,
-        p_attribute_inflation=1.0,
-        p_nontransitive_denial=1.0,
-    )
+    noise = all_noise_modes(9, **dict.fromkeys(NOISE_RATES, 1.0))
     oracle, ctx = mk(farm, noise)
     assert oracle.is_instance(ctx, "Bessie the Cow")
     assert not oracle.is_instance(ctx, "Dairy Goats")

@@ -18,7 +18,7 @@ from ontocrawl.verification import (
     REASON_RENAME_FAILED,
     REJECTED,
 )
-from support import RaisingOracle
+from support import RaisingOracle, taxonomy_of
 
 UNIVERSITIES = GroundTruthTaxonomy.from_json_dict(
     {
@@ -213,6 +213,4 @@ def test_transcript_mirrors_the_oracle_call_log(goats_tax, d, c, rename_to):
 
 @pytest.fixture(scope="module")
 def goats_tax():
-    from conftest import FIXTURES
-
-    return GroundTruthTaxonomy.load(FIXTURES / "goats.json")
+    return taxonomy_of("goats")
