@@ -223,7 +223,6 @@ def _run_crawl(config: CrawlConfig, out_dir: Path, data: Checkpoint | None = Non
             crawler = Crawler(config, oracle, ledger=ledger, **files)
         else:
             crawler = Crawler.from_checkpoint(data, oracle, **files)
-            oracle.ledger = crawler.ledger  # restored snapshot keeps accumulating
         try:
             crawler.run()
         except CrawlAbortedError as exc:

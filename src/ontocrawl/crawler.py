@@ -1,8 +1,9 @@
 """Breadth-first concept crawl: existence, listing, verification, insertion.
 
 The frontier is the set of unexplored concepts above the depth cutoff,
-visited shallowest-first with discovery order as the tiebreak.  Every listed
-candidate is either recognized as an existing concept (rediscovery: a new
+visited shallowest-first with discovery order as the tiebreak.  A listing's
+names are deduplicated here, by normalized name, keeping the first surface
+form.  Every listed candidate is either recognized as an existing concept (rediscovery: a new
 edge, no re-verification) or verified and classified into the hierarchy.  An
 unrecoverable oracle failure aborts the run resumably.  With an oracle that
 has ``map``, a listing's verification dialogues are first run together to
@@ -408,12 +409,15 @@ class Crawler:
         rejection_path: str | Path | None = None,
     ) -> "Crawler":
         """The crawler that continues checkpoint ``data``: a document, or the
-        values ``parse_checkpoint`` read from one."""
+        values ``parse_checkpoint`` read from one.  An oracle with a
+        ``ledger`` attribute bills the restored ledger from now on."""
         checked = data if isinstance(data, Checkpoint) else parse_checkpoint(data)
         crawler = cls(
             checked.config, oracle, query_log=query_log, checkpoint_path=checkpoint_path
         )
         vars(crawler).update(vars(checked))  # every field is a crawler attribute
+        if hasattr(oracle, "ledger"):
+            oracle.ledger = crawler.ledger
         # Set only now, so that the rejection file is written once.
         crawler.rejection_path = Path(rejection_path) if rejection_path else None
         crawler._rewrite_rejection_file()

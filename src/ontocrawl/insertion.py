@@ -17,8 +17,8 @@ count reaches zero joins the next round; below a negative answer no count
 ever reaches zero, which is the pruning.  So a round holds every probe whose
 needs are met, one traversal level of the whole search, and none of its
 probes depends on another's answer.  Each round is issued as one batch: an
-oracle with ``are_subcategories`` may send its questions concurrently, any
-other oracle answers them one by one in id order.  The answers are applied in
+oracle with ``map`` may send its questions concurrently, any other oracle
+answers them one by one in id order.  The answers are applied in
 id order on the calling thread, which alone reads and mutates the hierarchy.
 """
 
@@ -78,10 +78,10 @@ class _ProbeSession:
         return [self.h._concepts[cid].canonical_name for cid in cids]
 
     def _ask(self, questions: list[tuple[OracleContext, str, str]]) -> list[bool]:
-        batch = getattr(self.oracle, "are_subcategories", None)
-        if batch is None:
-            return [self.oracle.is_subcategory_of(*q) for q in questions]
-        return batch(questions)
+        oracle = self.oracle
+        if hasattr(oracle, "map"):
+            return oracle.map(lambda q: oracle.is_subcategory_of(*q), questions)
+        return [oracle.is_subcategory_of(*q) for q in questions]
 
     def probe_up(self, cids: list[int]) -> list[bool]:
         """Does each existing concept in ``cids`` subsume the new one?"""

@@ -4,8 +4,11 @@ The wire protocol is a plain chat-completions POST carrying one user message.
 Listing uses first-token frequency sampling: the listing prompt is sampled
 ``n_samples`` times with ``max_tokens=1`` at high temperature, and every first
 token reaching the frequency threshold spawns a full listing prompt forced to
-start with that token.  All other prompts run at temperature 0 and are served
-from a content-addressed cache when possible.
+start with that token.  All other prompts run under the configured parameters
+(temperature 0 by default).  One replay rule holds for every request: its reply
+is cached under the prompt, the parameters and an index (a draw's number, or
+the attempt number of a retry after an unparseable reply), so asking the same
+question again replays the reply instead of sending it.
 """
 
 from __future__ import annotations
@@ -392,12 +395,14 @@ class ResponseCache:
                     raise CheckpointError(f"{self.path} line {number}: {exc!r}") from exc
 
     @staticmethod
-    def key_for(prompt: str, params: CompletionParams, attempt: int = 0) -> str:
-        """The key of ``prompt`` under ``params``; a retry of an unparseable
-        reply is keyed by its attempt number as well."""
+    def key_for(prompt: str, params: CompletionParams, index: int = 0) -> str:
+        """The key of the ``index``-th reply to ``prompt`` under ``params``:
+        a first-token draw's number, or the attempt number of a retry after
+        an unparseable reply.  Index 0 adds nothing to the key and any other
+        adds it as ``attempt``, so keys written before draws were cached hold."""
         fields = {"prompt": prompt, **params.to_dict()}
-        if attempt:
-            fields["attempt"] = attempt
+        if index:
+            fields["attempt"] = index
         material = json.dumps(fields, sort_keys=True, ensure_ascii=False)
         return hashlib.sha256(material.encode("utf-8")).hexdigest()
 
@@ -488,11 +493,12 @@ class ChatCompletionOracle:
     """KnowledgeOracle backed by a chat-completion endpoint.
 
     Retries transport failures with exponential backoff (bounded), caches
-    temperature-0 replies by content hash, counts every successful request in
-    the cost ledger and appends one query-log record per request.
+    every reply under ``ResponseCache.key_for(prompt, params, index)``, counts
+    every successful request in the cost ledger and appends one query-log
+    record per request.
 
     ``map`` sends independent requests together: first-token draws,
-    continuations, probe waves (``are_subcategories``) and warmed dialogues.
+    continuations, insertion probe rounds and warmed dialogues.
     The calling thread sends a share, alongside at most ``max_in_flight - 1``
     threads of one pool made on first use and kept, so at most
     ``max_in_flight`` requests are in flight at once; at 1, no thread starts.
@@ -595,20 +601,20 @@ class ChatCompletionOracle:
         params: CompletionParams | None = None,
         *,
         template_name: str = "",
-        attempt: int = 0,
+        index: int = 0,
     ) -> CompletionResult:
+        """The ``index``-th reply to ``prompt`` under ``params``: from the
+        cache if it holds one, else sent and then cached."""
         params = params or self.params
-        cacheable = params.temperature == 0.0
-        key = ResponseCache.key_for(prompt, params, attempt) if cacheable else None
-        if cacheable:
-            hit = self.cache.get(key)
-            if hit is not None:
-                return CompletionResult(
-                    text=hit["reply"],
-                    prompt_tokens=hit.get("prompt_tokens", 0),
-                    completion_tokens=hit.get("completion_tokens", 0),
-                    cached=True,
-                )
+        key = ResponseCache.key_for(prompt, params, index)
+        hit = self.cache.get(key)
+        if hit is not None:
+            return CompletionResult(
+                text=hit["reply"],
+                prompt_tokens=hit.get("prompt_tokens", 0),
+                completion_tokens=hit.get("completion_tokens", 0),
+                cached=True,
+            )
 
         body = {
             "model": params.model,
@@ -653,11 +659,9 @@ class ChatCompletionOracle:
                     completion_tokens=ct,
                     latency_ms=round(latency_ms, 3),
                 )
-            if cacheable:
-                self.cache.put(
-                    key,
-                    {"reply": text, "prompt_tokens": pt, "completion_tokens": ct},
-                )
+            self.cache.put(
+                key, {"reply": text, "prompt_tokens": pt, "completion_tokens": ct}
+            )
             return CompletionResult(text=text, prompt_tokens=pt, completion_tokens=ct)
         raise last_error if last_error is not None else TransportError("request failed")
 
@@ -665,14 +669,15 @@ class ChatCompletionOracle:
         self, prompt: str, n_samples: int, *, template_name: str = "listing"
     ) -> dict[str, int]:
         """Frequency map of the non-blank first completion tokens over
-        ``n_samples`` draws.  A draw that exhausts its retries raises, like
-        any other request, rather than lowering the counts.
+        ``n_samples`` draws, draw ``i`` cached at index ``i``.  A draw that
+        exhausts its retries raises, like any other request, rather than
+        lowering the counts.
         """
         counts: dict[str, int] = {}
 
-        def one(_: int) -> str:
+        def one(i: int) -> str:
             return self.complete(
-                prompt, self.sampling_params, template_name=template_name
+                prompt, self.sampling_params, template_name=template_name, index=i
             ).text
 
         for text in self.map(one, range(n_samples)):
@@ -695,7 +700,7 @@ class ChatCompletionOracle:
         prompt = render(template_name, bindings, ctx)
         for attempt in (0, 1):
             result = self.complete(
-                prompt, self.params, template_name=template_name, attempt=attempt
+                prompt, self.params, template_name=template_name, index=attempt
             )
             try:
                 return parser(result.text)
@@ -723,28 +728,16 @@ class ChatCompletionOracle:
         frequencies = self.sample_first_tokens(base_prompt, n_samples)
         tokens = passing_tokens(frequencies, ft)
 
-        collected: list[str] = []
-        seen: set[str] = set()
-
-        def absorb(reply: str) -> None:
-            for name in parse_csv_list(reply):
-                key = normalize_name(name)
-                if key and key not in seen:
-                    seen.add(key)
-                    collected.append(name)
-
         if not tokens:
-            # Fallback: one plain listing at temperature 0.
+            # Fallback: one plain listing under the configured parameters.
             result = self.complete(base_prompt, self.params, template_name="listing")
-            absorb(result.text)
-            return collected
-        # Sent together, absorbed in token order.
+            return parse_csv_list(result.text)
+        # Sent together; every parsed name is returned, in token order.
         continued = [render("listing_continuation", {**bindings, "t": t}, ctx) for t in tokens]
-        for result in self.map(
+        replies = self.map(
             lambda p: self.complete(p, template_name="listing_continuation"), continued
-        ):
-            absorb(result.text)
-        return collected
+        )
+        return [name for result in replies for name in parse_csv_list(result.text)]
 
     def describe(self, ctx: OracleContext, names: list[str]) -> dict[str, str]:
         if not names:
@@ -783,13 +776,6 @@ class ChatCompletionOracle:
         return self._yes_no(
             "verify_subcat", {"C0": ctx.seed_name, "C": c, "D": d}, ctx
         )
-
-    def are_subcategories(
-        self, questions: list[tuple[OracleContext, str, str]]
-    ) -> list[bool]:
-        """``is_subcategory_of`` for each ``(ctx, d, c)``, sent concurrently;
-        the answers come back in question order."""
-        return self.map(lambda q: self.is_subcategory_of(*q), questions)
 
     def rename_from_description(
         self, ctx: OracleContext, c: str, description: str

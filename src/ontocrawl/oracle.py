@@ -68,11 +68,10 @@ class OracleContext:
 class KnowledgeOracle(Protocol):
     """Everything the crawl pipeline may ask about the domain.
 
-    Two optional hooks answer independent calls concurrently: ``map(fn,
+    One optional hook answers independent calls concurrently: ``map(fn,
     items)``, ``[fn(x) for x in items]``, through which the crawler warms a
-    listing's verification dialogues, and ``are_subcategories(questions)``,
-    the answers to a wave of ``(ctx, d, c)`` insertion probes, in order.
-    Without them, every question is asked one at a time.
+    listing's verification dialogues and insertion sends a round of probes.
+    Without it, every question is asked one at a time.
     """
 
     def has_subconcepts(self, ctx: OracleContext, c: str) -> bool: ...

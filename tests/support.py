@@ -10,7 +10,7 @@ import re
 import threading
 import time
 from collections import Counter
-from contextlib import ExitStack, closing
+from contextlib import ExitStack, closing, contextmanager
 from dataclasses import dataclass, replace
 from pathlib import Path
 from types import MappingProxyType
@@ -29,10 +29,11 @@ from ontocrawl import (
     NoiseModel,
     OracleContext,
     cli,
+    insertion,
     verification,
 )
 from ontocrawl import crawler as crawler_mod
-from ontocrawl.crawler import CrawlStats
+from ontocrawl.crawler import CrawlStats, parse_checkpoint
 from ontocrawl.errors import TransportError
 from ontocrawl.llm_backend import (
     CONTEXT_SENTENCE_PARENT,
@@ -451,27 +452,34 @@ class TaxonomyTransport:
 
 
 class WithoutMap:
-    """Delegates to an oracle, except that it has no ``map``."""
+    """Delegates to an oracle, attribute writes included, except that it
+    has no ``map``."""
 
     def __init__(self, oracle):
-        self._oracle = oracle
+        vars(self)["_oracle"] = oracle
 
     def __getattr__(self, name):
         if name == "map":
             raise AttributeError(name)
         return getattr(self._oracle, name)
 
+    def __setattr__(self, name, value):
+        setattr(self._oracle, name, value)
 
-class BatchRecordingOracle(ChatCompletionOracle):
-    """Remembers the (d, c) pairs of every ``are_subcategories`` batch."""
 
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self.batches: list[list[tuple[str, str]]] = []
+@contextmanager
+def recording_rounds():
+    """A list that, while open, gets the ``(d, c)`` pairs of each round of
+    insertion probes, as ``insertion`` hands it to the oracle."""
+    rounds: list[list[tuple[str, str]]] = []
+    ask = insertion._ProbeSession._ask
 
-    def are_subcategories(self, questions):
-        self.batches.append([(d, c) for _ctx, d, c in questions])
-        return super().are_subcategories(questions)
+    def recorded(session, questions):
+        rounds.append([(d, c) for _ctx, d, c in questions])
+        return ask(session, questions)
+
+    with patch.object(insertion._ProbeSession, "_ask", recorded):
+        yield rounds
 
 
 def llm_crawler(
@@ -485,15 +493,20 @@ def llm_crawler(
     data: dict | None = None,
     **config,
 ) -> Crawler:
-    """A crawl of ``seed_name`` down the LLM path: a ``BatchRecordingOracle``
-    over ``transport``, behind ``WithoutMap`` if ``hide_map``, with ft and
-    n_samples 5 unless ``config`` says otherwise.  With ``out_dir``, the
-    checkpoint and the rejection file are written there; with checkpoint
-    ``data``, the crawl goes on from it."""
+    """A crawl of ``seed_name`` down the LLM path: a ``ChatCompletionOracle``
+    over ``transport`` with the config's ``params``, as the CLI builds it,
+    behind ``WithoutMap`` if ``hide_map``, with ft and n_samples 5 unless
+    ``config`` says otherwise.  With ``out_dir``, the checkpoint and the
+    rejection file are written there; with checkpoint ``data``, the crawl
+    goes on from it."""
+    checked = None if data is None else parse_checkpoint(data)
+    crawl_config = checked.config if checked else CrawlConfig(
+        seed_name=seed_name, **{"ft": 5, "n_samples": 5, **config}
+    )
     query_log = query_log if query_log is not None else QueryLog()
-    oracle = BatchRecordingOracle(
+    oracle = ChatCompletionOracle(
         transport,
-        params=CompletionParams(),
+        params=CompletionParams(**crawl_config.params),
         query_log=query_log,
         ledger=CostLedger(),
         max_in_flight=max_in_flight,
@@ -504,12 +517,9 @@ def llm_crawler(
         out_dir.mkdir(parents=True, exist_ok=True)
         files["checkpoint_path"] = out_dir / "checkpoint.json"
         files["rejection_path"] = out_dir / "rejected.jsonl"
-    if data is not None:
-        crawler = Crawler.from_checkpoint(data, crawl_oracle, **files)
-        oracle.ledger = crawler.ledger
-        return crawler
-    config = CrawlConfig(seed_name=seed_name, **{"ft": 5, "n_samples": 5, **config})
-    return Crawler(config, crawl_oracle, ledger=oracle.ledger, **files)
+    if checked is not None:
+        return Crawler.from_checkpoint(checked, crawl_oracle, **files)
+    return Crawler(crawl_config, crawl_oracle, ledger=oracle.ledger, **files)
 
 
 def record_dialogues(patches: ExitStack, warmed: dict, looped: dict) -> None:
@@ -574,6 +584,7 @@ class CrawlKey:
     max_in_flight: int = 1
     hide_map: bool = False
     files: bool = False
+    temperature: float = 0.0  # the LLM path's ``params.temperature``
 
 
 @dataclass(frozen=True)
@@ -583,7 +594,7 @@ class CrawlOutcome:
     checkpoint: Mapping
     prompts: tuple[str, ...]  # sorted
     transport_requests: int
-    batch_sizes: tuple[int, ...]  # of each ``are_subcategories`` batch
+    batch_sizes: tuple[int, ...]  # of each round of insertion probes (LLM path)
     warmed: Mapping  # the records of ``record_dialogues``
     looped: Mapping
     renames_answered: int  # by a mock oracle, with a name
@@ -627,7 +638,9 @@ class CrawlMatrix:
             "renames": renames_onto_first_child(taxonomy) if key.renamed else None,
         }
         config = {"ft": key.ft, "n_samples": key.n_samples, "max_concepts": key.max_concepts}
-        transport, out_dir, warmed, looped = None, None, {}, {}
+        if key.temperature:
+            config["params"] = {"temperature": key.temperature}
+        transport, out_dir, warmed, looped, rounds = None, None, {}, {}, []
         if not key.llm:
             crawler = run_mock_crawl(taxonomy, **answers, **config)
         else:
@@ -644,6 +657,7 @@ class CrawlMatrix:
                 **config,
             )
             with ExitStack() as patches, closing(query_log):
+                rounds = patches.enter_context(recording_rounds())
                 if not key.hide_map:
                     record_dialogues(patches, warmed, looped)
                 crawler.run()
@@ -655,7 +669,7 @@ class CrawlMatrix:
             frozen(crawler.to_checkpoint_dict()),
             tuple(sorted(rec["prompt"] for rec in records if "prompt" in rec)),
             transport.requests if transport else 0,
-            tuple(len(batch) for batch in getattr(crawler.oracle, "batches", ())),
+            tuple(map(len, rounds)),
             frozen(warmed),
             frozen(looped),
             sum(map(bool, renames)),

@@ -16,10 +16,9 @@ import time
 
 import pytest
 
-from ontocrawl import ChatCompletionOracle, OracleContext
 from ontocrawl import crawler as crawler_mod
 from ontocrawl.crawler import load_checkpoint
-from ontocrawl.errors import CrawlAbortedError
+from ontocrawl.errors import CrawlAbortedError, TransportError
 from support import (
     FIXTURE_NAMES,
     CrawlOutcome,
@@ -63,6 +62,21 @@ def test_clean_crawls_send_the_prompts_of_a_sequential_crawl(crawls, max_in_flig
         assert warmed.prompts == reference.prompts, fixture
         assert warmed.ledger_requests == reference.ledger_requests, fixture
     assert warm_passes
+
+
+@pytest.mark.parametrize("fixture, requests", [("goats", 165), ("c2-03", 838)])
+def test_warmed_dialogues_replay_at_a_nonzero_temperature(crawls, fixture, requests):
+    """Every reply is cached, whatever ``params.temperature``, so a crawl at
+    0.7 sends the requests of a sequential crawl, as a crawl at 0 does."""
+    warmed = crawls.llm(fixture, max_in_flight=4, temperature=0.7)
+    reference = crawls.llm(fixture, max_in_flight=4, hide_map=True, temperature=0.7)
+    at_zero = crawls.llm(fixture, max_in_flight=4, hide_map=True)
+    assert warmed.warmed
+    assert warmed.transport_requests == reference.transport_requests == requests
+    assert warmed.ledger_requests == reference.ledger_requests == requests
+    assert outcome(warmed) == outcome(reference)
+    assert outcome(reference, "config.params") == outcome(at_zero, "config.params")
+    assert at_zero.transport_requests == requests
 
 
 @pytest.mark.parametrize("max_concepts", [2, 3, 5, 9])
@@ -149,12 +163,15 @@ TOKENS = {
 
 
 class ContinuationTransport:
-    """First-token draws and continuations of one listing of goats, with
-    the most continuations ever in flight at once."""
+    """The first crawl step of goats up to its description prompt, whose
+    ``terms`` it keeps before it refuses the request: the existence
+    question, first-token draws and continuations, with the most
+    continuations ever in flight at once."""
 
     def __init__(self):
         self.draws = itertools.cycle(TOKENS)
         self.in_flight = self.peak = 0
+        self.terms = None
         self._lock = threading.Lock()
 
     def send(self, body: dict) -> dict:
@@ -162,6 +179,11 @@ class ContinuationTransport:
             with self._lock:
                 return reply(next(self.draws))
         name, bindings = decode(body["messages"][0]["content"])
+        if name == "existence":
+            return reply("Yes")
+        if name == "description":
+            self.terms = bindings["terms"]
+            raise TransportError("stop at the description", retryable=False)
         assert name == "listing_continuation"
         latency, names = TOKENS[bindings["t"]]
         with self._lock:
@@ -176,16 +198,18 @@ class ContinuationTransport:
 
 
 def test_continuations_go_out_together_and_are_absorbed_in_token_order():
-    ctx = OracleContext("Goats")
     listed = {}
     for max_in_flight in (1, 4):
         transport = ContinuationTransport()
-        oracle = ChatCompletionOracle(transport, max_in_flight=max_in_flight)
-        listed[max_in_flight] = oracle.list_subconcepts(ctx, "Goats", 2, 6)
+        crawler = llm_crawler(transport, "Goats", max_in_flight=max_in_flight, ft=2, n_samples=6)
+        with pytest.raises(TransportError, match="description"):
+            crawler.step()
+        listed[max_in_flight] = transport.terms
         assert (transport.peak > 1) == (max_in_flight > 1)
     assert listed[4] == listed[1]
-    # passing_tokens orders equal counts by name: Dairy, Fiber, Meat.
-    assert listed[4] == ["Dairy Goats", "Saanen", "Fiber Goats", "Angora", "Boer", "Meat Goats"]
+    # passing_tokens orders equal counts by name: Dairy, Fiber, Meat.  The
+    # crawl describes each name once, in order of first listing.
+    assert listed[4] == "Dairy Goats, Saanen, Fiber Goats, Angora, Boer, Meat Goats"
 
 
 @pytest.mark.parametrize("noisy", [False, True])

@@ -15,10 +15,17 @@ from ontocrawl import (
     QueryLog,
     llm_backend,
 )
+from ontocrawl import crawler as crawler_mod
 from ontocrawl.cli import OUTPUT_FILES
 from ontocrawl.crawler import load_checkpoint
 from ontocrawl.errors import CrawlAbortedError
-from support import FIXTURE_NAMES, TaxonomyTransport, llm_crawler, taxonomy_of
+from support import (
+    FIXTURE_NAMES,
+    TaxonomyTransport,
+    llm_crawler,
+    recording_rounds,
+    taxonomy_of,
+)
 
 
 def sorted_records(path) -> list[str]:
@@ -56,6 +63,19 @@ def test_requests_in_flight_never_exceed_the_bound(goats, tmp_path, max_in_fligh
         assert transport.peak_by_template["verify_subcat"] > 1
 
 
+def test_the_probes_of_a_round_go_out_together(goats, monkeypatch):
+    """Without warm passes, overlapping subcategory questions can only be
+    the probes of one insertion round, sent through ``map``."""
+    monkeypatch.setattr(crawler_mod, "verify_ahead", lambda *args: None)
+    transport = TaxonomyTransport(goats, latency_s=0.005)
+    crawler = llm_crawler(transport, goats.root, max_in_flight=4)
+    with recording_rounds() as rounds:
+        crawler.run()
+    assert len(crawler.hierarchy) == 14
+    assert any(len(batch) > 1 for batch in rounds)
+    assert transport.peak_by_template["verify_subcat"] > 1
+
+
 def test_a_wide_batch_loses_no_answer_or_count(goats):
     """More senders than cores, switching threads as often as possible."""
     names = sorted({goats.root, *(name for edge in goats.edges for name in edge)})
@@ -71,7 +91,8 @@ def test_a_wide_batch_loses_no_answer_or_count(goats):
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        got = oracle.are_subcategories(questions)
+        # What ``insertion`` sends for one round of probes.
+        got = oracle.map(lambda q: oracle.is_subcategory_of(*q), questions)
     finally:
         sys.setswitchinterval(interval)
     assert got == want and any(want)
@@ -103,8 +124,9 @@ def test_a_failed_probe_in_a_wave_aborts_resumably(tmp_path):
     reference = llm_crawler(
         TaxonomyTransport(taxonomy), taxonomy.root, max_in_flight=4, out_dir=tmp_path / "ref"
     )
-    reference.run()
-    wave = next(b for b in reference.oracle.batches if len(b) > 1)
+    with recording_rounds() as rounds:
+        reference.run()
+    wave = next(b for b in rounds if len(b) > 1)
     d, c = wave[1]
 
     asked = 0
@@ -120,10 +142,10 @@ def test_a_failed_probe_in_a_wave_aborts_resumably(tmp_path):
     out = tmp_path / "out"
     transport = TaxonomyTransport(taxonomy, fail=fail)
     crawler = llm_crawler(transport, taxonomy.root, max_in_flight=4, out_dir=out)
-    with pytest.raises(CrawlAbortedError):
+    with recording_rounds() as rounds, pytest.raises(CrawlAbortedError):
         crawler.run()
     assert asked == 1
-    assert crawler.oracle.batches[-1] == wave
+    assert rounds[-1] == wave
 
     resumed = llm_crawler(
         transport,

@@ -377,7 +377,6 @@ def test_a_resumed_crawl_never_reuses_the_id_a_merge_removed(goats):
     live.hierarchy.merge_synonyms(*live.hierarchy.ids()[-2:])
     oracle = MockOracle(goats)
     resumed = Crawler.from_checkpoint(live.to_checkpoint_dict(), oracle)
-    oracle.ledger = resumed.ledger
     live.run()
     resumed.run()
     assert resumed.to_checkpoint_dict() == live.to_checkpoint_dict()
@@ -653,9 +652,7 @@ def test_run_compacts_the_journal_into_the_checkpoint(goats, tmp_path):
 def resume(goats, path, noise=None, **files):
     data = load_checkpoint(path)
     oracle = MockOracle(goats, noise)
-    crawler = Crawler.from_checkpoint(data, oracle, checkpoint_path=path, **files)
-    oracle.ledger = crawler.ledger  # resume shares the restored ledger
-    return crawler
+    return Crawler.from_checkpoint(data, oracle, checkpoint_path=path, **files)
 
 
 def test_resume_is_indistinguishable_from_an_uninterrupted_run(goats, tmp_path):

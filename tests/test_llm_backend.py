@@ -41,7 +41,7 @@ from ontocrawl.llm_backend import (
     passing_tokens,
     render,
 )
-from support import StubTransport, decode, reply
+from support import StubTransport, decode, llm_crawler, reply
 
 CTX = OracleContext(seed_name="Goats")
 
@@ -380,7 +380,7 @@ def test_response_cache_persists_to_disk(tmp_path):
     assert key != ResponseCache.key_for("a prompt", CompletionParams(max_tokens=8))
     # A first asking keeps the key that existing cache files were written with.
     assert key == "d8e22e5a1ecf640c2ac3f5bb812df76dc142c020d5acf4ba98a71033698dd229"
-    assert key != ResponseCache.key_for("a prompt", params, attempt=1)
+    assert key != ResponseCache.key_for("a prompt", params, 1)
 
     cache = ResponseCache(path)
     cache.put(key, {"reply": "Yes", "prompt_tokens": 3, "completion_tokens": 1})
@@ -416,14 +416,22 @@ def test_temperature_zero_replies_come_from_the_cache():
     assert oracle.ledger.requests == 1  # cache hits cost nothing
 
 
-def test_sampling_temperature_bypasses_the_cache():
-    oracle, transport, _ = make_oracle([reply("Dairy"), reply("Meat")])
-    a = oracle.complete("List.", oracle.sampling_params)
-    b = oracle.complete("List.", oracle.sampling_params)
-    assert (a.text, b.text) == ("Dairy", "Meat")
-    assert len(transport.bodies) == 2
+def test_a_second_sampling_of_a_prompt_replays_its_draws():
+    oracle, transport, _ = make_oracle([reply("Dairy"), reply("Meat"), reply("Dairy")])
+    first = oracle.sample_first_tokens("List.", 3)
+    assert first == {"Dairy": 2, "Meat": 1}
+    assert len(transport.bodies) == 3
     assert transport.bodies[0]["max_tokens"] == 1
     assert transport.bodies[0]["temperature"] == 2.0
+    assert oracle.sample_first_tokens("List.", 3) == first
+    assert len(transport.bodies) == oracle.ledger.requests == 3
+    # Draw i is cached at index i; draw 0 under the key that a first asking
+    # of the prompt had before draws were cached.
+    params = oracle.sampling_params
+    key = ResponseCache.key_for("List.", params, 0)
+    assert key == "df6e40e627e67d017b2d2f215b50d84a6a1b79e288c65e2daac897afbfe7a151"
+    assert oracle.cache.get(key)["reply"] == "Dairy"
+    assert oracle.cache.get(ResponseCache.key_for("List.", params, 1))["reply"] == "Meat"
 
 
 def test_retryable_failures_back_off_then_succeed():
@@ -590,6 +598,7 @@ def test_list_subconcepts_validates_the_threshold():
 
 def test_list_subconcepts_continues_each_passing_token():
     script = [
+        reply("Yes"),
         reply("Dairy"),
         reply("Dairy"),
         reply("Meat"),
@@ -597,10 +606,16 @@ def test_list_subconcepts_continues_each_passing_token():
         reply("Show"),
         reply("Dairy Goats, Dwarf Goats"),
         reply("Meat Goats, Dairy Goats."),
+        TransportError("stop at the description", retryable=False),
     ]
-    oracle, transport, _ = make_oracle(script)
-    out = oracle.list_subconcepts(CTX, "Goats", 2, 5)
-    assert out == ["Dairy Goats", "Dwarf Goats", "Meat Goats"]
+    transport = StubTransport(script)
+    crawler = llm_crawler(transport, "Goats", ft=2, n_samples=5)
+    with pytest.raises(TransportError, match="description"):
+        crawler.step()
+    # The crawl describes each listed name once, in order of first listing.
+    name, described = decode(transport.bodies[-1]["messages"][0]["content"])
+    assert name == "description"
+    assert described["terms"] == "Dairy Goats, Dwarf Goats, Meat Goats"
     continuations = [b for b in transport.bodies if "Start your answer" in
                      b["messages"][0]["content"]]
     assert len(continuations) == 2

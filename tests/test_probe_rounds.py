@@ -26,7 +26,7 @@ from ontocrawl import (
     MockOracle,
 )
 from ontocrawl.insertion import bottom_search, top_search
-from support import build_hierarchy
+from support import build_hierarchy, recording_rounds
 
 
 def _decide_wave(
@@ -184,34 +184,17 @@ def test_rounds_probe_what_the_reference_probes_in_no_more_rounds(case):
         assert_rounds_are_maximal(new.batches, set(), region, h._children, down)
 
 
-class BatchCountingOracle:
-    """Passes probe batches through to a mock one question at a time."""
-
-    def __init__(self, inner):
-        self._inner = inner
-        self.batches = 0
-        self.probes = 0
-
-    def __getattr__(self, name):
-        return getattr(self._inner, name)
-
-    def are_subcategories(self, questions):
-        self.batches += 1
-        self.probes += len(questions)
-        return [self._inner.is_subcategory_of(*q) for q in questions]
-
-
 def test_a_clean_crawl_sends_one_batch_per_traversal_level():
     """A clean n=200 crawl sends its probes in 556 rounds; the scheduler that
     probed one expanded parent's children at a time needed 1,526."""
     edges = daggen.random_dag(random.Random(1), 200, max_outdegree=5)
     taxonomy = GroundTruthTaxonomy.from_json_dict(daggen.to_fixture(edges))
-    oracle = BatchCountingOracle(MockOracle(taxonomy))
-    crawler = Crawler(CrawlConfig(seed_name=taxonomy.root, oracle="mock:x"), oracle)
-    crawler.run()
+    crawler = Crawler(CrawlConfig(seed_name=taxonomy.root, oracle="mock:x"), MockOracle(taxonomy))
+    with recording_rounds() as rounds:
+        crawler.run()
     assert len(crawler.hierarchy) == 200
-    assert oracle.probes == crawler.probes_issued == 2673
-    assert oracle.batches <= 600
+    assert sum(map(len, rounds)) == crawler.probes_issued == 2673
+    assert len(rounds) <= 600
 
 
 class CountingAdjacency(dict):
