@@ -9,6 +9,17 @@ unrecoverable oracle failure aborts the run resumably.  With an oracle that
 has ``map``, a listing's verification dialogues are first run together to
 warm its reply cache (``verify_ahead``); decisions still come one by one.
 
+Each step opens with one chain of dependent questions, ``explore``:
+existence, the listing, deduplication, the descriptions.  During ``run()``,
+with an oracle that has ``map`` and a ``max_in_flight`` of 2 or more and no
+``max_concepts`` cap, one background thread (the prefetch lane) runs that
+chain ahead for the next ``PREFETCH_AHEAD`` frontier concepts, each with a
+snapshot of what its prompts show: the seed, its discovering parent and
+their three stored descriptions.  The lane never reads the hierarchy and
+drops every result and every exception.  The step renders its own prompts
+from live state, so an unchanged prompt replays the lane's cached reply and
+a changed one is sent: outputs cannot depend on the lane, only the ledger.
+
 ``parse_checkpoint`` is the one reader of a checkpoint document: ``resume``,
 ``stats`` and ``export`` all read through it, so they refuse the same
 documents, and an accepted document saves back to itself.
@@ -33,7 +44,9 @@ import itertools
 import json
 import logging
 import os
+import queue
 import tempfile
+import threading
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
@@ -47,12 +60,15 @@ from .errors import (
 )
 from .hierarchy import ConceptHierarchy, json_fields, normalize_name
 from .llm_backend import CompletionParams, CostLedger
-from .oracle import KnowledgeOracle, OracleContext, QueryLog
+from .oracle import KnowledgeOracle, OracleContext, QueryLog, prefetch_lane
 from .verification import verify, verify_ahead
 
 logger = logging.getLogger(__name__)
 
 CHECKPOINT_WRAPPER_VERSION = 1
+
+# How many frontier concepts past its own each step hands the prefetch lane.
+PREFETCH_AHEAD = 2
 
 
 def _is_int(value: object) -> bool:
@@ -146,6 +162,67 @@ class CrawlStats:
     avg_outdegree: float
 
 
+def explore(
+    oracle: KnowledgeOracle, ctx: OracleContext, c_name: str, ft: int, n_samples: int
+) -> tuple[list[str], OracleContext]:
+    """The chain that opens a step on ``c_name``, asked in ``ctx``: the
+    existence question, the listing, its names deduplicated by normalized
+    name (the first surface form kept), and their descriptions.
+
+    Returns the names and the listing context: ``c_name`` as the parent,
+    ``ctx``'s stored descriptions, and the listing text ``describe`` gave,
+    which its own prompt was rendered without.  No names, no description
+    request."""
+    if not oracle.has_subconcepts(ctx, c_name):
+        return [], ctx
+    seen: set[str] = set()
+    names: list[str] = []
+    for cand in oracle.list_subconcepts(ctx, c_name, ft, n_samples):
+        cand = cand.strip()
+        key = normalize_name(cand)
+        if key and key not in seen:
+            seen.add(key)
+            names.append(cand)
+    if not names:
+        return [], ctx
+    descriptions: dict[str, str] = {}
+    listing = OracleContext(ctx.seed_name, c_name, descriptions, known=ctx.known)
+    descriptions.update(oracle.describe(listing, names))
+    return names, listing
+
+
+class _PrefetchLane:
+    """One background thread that runs ``explore`` for the concepts handed to
+    it, in order, inside ``prefetch_lane``, for the replies alone: it drops
+    every result and every exception.  ``close`` stops it from sending and
+    joins it."""
+
+    def __init__(self, oracle: KnowledgeOracle, ft: int, n_samples: int):
+        self.handed: set[int] = set()
+        self._explore = lambda name, ctx: explore(oracle, ctx, name, ft, n_samples)
+        self._queue: queue.SimpleQueue = queue.SimpleQueue()
+        self._stop = threading.Event()
+        self._thread = threading.Thread(target=self._work, name="ontocrawl-prefetch")
+        self._thread.start()
+
+    def hand(self, cid: int, name: str, ctx: OracleContext) -> None:
+        self.handed.add(cid)
+        self._queue.put((name, ctx))
+
+    def close(self) -> None:
+        self._stop.set()
+        self._queue.put(None)
+        self._thread.join()
+
+    def _work(self) -> None:
+        with prefetch_lane(self._stop):
+            while (item := self._queue.get()) is not None:
+                try:
+                    self._explore(*item)
+                except Exception:  # the step asks again for itself
+                    logger.debug("prefetch of %r dropped", item[0], exc_info=True)
+
+
 class Crawler:
     """Drives one crawl; checkpointable after every exploration step."""
 
@@ -174,6 +251,7 @@ class Crawler:
         self.probe_baseline = 0
         # Committed ``discovered_from`` entries and rejections; None before the base.
         self._committed_counts: tuple[int, int] | None = None
+        self._lane: _PrefetchLane | None = None  # open only inside run()
         self._rewrite_rejection_file()
 
     # ------------------------------------------------------------------
@@ -194,17 +272,20 @@ class Crawler:
         if self.query_log is not None:
             self.query_log.record(op="explore", concept=c_name, depth=concept.depth)
 
+        if self._lane is not None:
+            self._prefetch_after(cid)
+
         ctx = OracleContext(
             self.config.seed_name,
             self.discovered_from.get(cid),
             known=self.hierarchy.description_of,
         )
         try:
-            if self.oracle.has_subconcepts(ctx, c_name):
-                candidates = self.oracle.list_subconcepts(
-                    ctx, c_name, self.config.ft, self.config.n_samples
-                )
-                self._process_candidates(cid, c_name, candidates)
+            names, listing = explore(
+                self.oracle, ctx, c_name, self.config.ft, self.config.n_samples
+            )
+            if names:
+                self._process_candidates(cid, c_name, names, listing)
         except TransportError:
             self._commit()
             raise
@@ -218,7 +299,16 @@ class Crawler:
 
         Either way the checkpoint ends as one compacted snapshot; any other
         exception leaves the base and journal of the last committed step.
+        The prefetch lane, if any, is stopped and joined before this returns
+        or raises, so no request of this run is sent after it.
         """
+        oracle, lane = self.oracle, None
+        if (
+            hasattr(oracle, "map")
+            and getattr(oracle, "max_in_flight", 1) >= 2
+            and self.config.max_concepts is None
+        ):
+            lane = self._lane = _PrefetchLane(oracle, self.config.ft, self.config.n_samples)
         try:
             while self.step():
                 pass
@@ -228,37 +318,33 @@ class Crawler:
             raise CrawlAbortedError(
                 f"crawl aborted by oracle failure: {exc}", checkpoint_path=path
             ) from exc
+        finally:
+            if lane is not None:
+                self._lane = None
+                lane.close()
         self._compact()
 
     # ------------------------------------------------------------------
 
-    def _process_candidates(
-        self, cid: int, c_name: str, candidates: list[str]
-    ) -> None:
-        # Dedupe by normalized name, keeping the first surface form.
-        seen: set[str] = set()
-        names: list[str] = []
-        for cand in candidates:
-            cand = cand.strip()
-            key = normalize_name(cand)
-            if not key or key in seen:
+    def _prefetch_after(self, cid: int) -> None:
+        """Hand the lane each of the next ``PREFETCH_AHEAD`` frontier concepts
+        after ``cid`` that it has not had, with a context that shows what
+        the concept's step will show if nothing it reads changes first."""
+        h, seed, lane = self.hierarchy, self.config.seed_name, self._lane
+        ahead = (other for other in h.frontier(self.config.exploration_depth) if other != cid)
+        for other in itertools.islice(ahead, PREFETCH_AHEAD):
+            if other in lane.handed:
                 continue
-            seen.add(key)
-            names.append(cand)
-        if not names:
-            return
+            name = h.concept(other).canonical_name
+            parent = self.discovered_from.get(other)
+            shown = {n: h.description_of(n) for n in (seed, parent, name) if n is not None}
+            lane.hand(other, name, OracleContext(seed, parent, known=shown.get))
 
-        # One context serves the whole listing.  The description prompt is
-        # rendered before it holds any listing text; every later prompt sees
-        # describe()'s result.
-        descriptions: dict[str, str] = {}
-        ctx = OracleContext(
-            self.config.seed_name,
-            c_name,
-            descriptions,
-            known=self.hierarchy.description_of,
-        )
-        descriptions.update(self.oracle.describe(ctx, names))
+    def _process_candidates(
+        self, cid: int, c_name: str, names: list[str], ctx: OracleContext
+    ) -> None:
+        """Verify and place the deduplicated ``names`` of ``c_name``'s
+        listing; ``ctx`` is the listing context ``explore`` returned."""
         # Warm the reply cache for the loop below, up to the capacity left.
         cap = self.config.max_concepts
         room = None if cap is None else cap - len(self.hierarchy)
@@ -290,7 +376,7 @@ class Crawler:
                 self.oracle,
                 ctx,
                 final_name,
-                descriptions.get(cand) or None,
+                ctx.descriptions.get(cand) or None,
                 cid,
                 query_log=self.query_log,
             )

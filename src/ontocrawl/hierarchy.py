@@ -362,6 +362,18 @@ class ConceptHierarchy:
                 return cid
         return None
 
+    def frontier(self, exploration_depth: int | None = None) -> Iterator[int]:
+        """The unexplored concepts strictly above the cutoff, in the order
+        ``next_unexplored`` picks them while the hierarchy does not change."""
+        seen: set[int] = set()
+        for depth, cid in sorted(self._frontier):
+            if exploration_depth is not None and depth >= exploration_depth:
+                return
+            c = self._concepts.get(cid)
+            if c is not None and not c.explored and c.depth == depth and cid not in seen:
+                seen.add(cid)
+                yield cid
+
     def take_changes(self) -> tuple[set[int], set[tuple[int, int]]]:
         """The concept ids and direct edges marked since the last call, which
         clears them.  An id or edge may since have been removed."""

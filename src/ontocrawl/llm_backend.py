@@ -13,6 +13,7 @@ question again replays the reply instead of sending it.
 
 from __future__ import annotations
 
+import contextvars
 import hashlib
 import json
 import logging
@@ -33,7 +34,7 @@ from .errors import (
     TransportError,
 )
 from .hierarchy import normalize_name
-from .oracle import OracleContext, QueryLog
+from .oracle import OracleContext, QueryLog, check_prefetch_lane, on_prefetch_lane
 
 logger = logging.getLogger(__name__)
 
@@ -497,11 +498,17 @@ class ChatCompletionOracle:
     every successful request in the cost ledger and appends one query-log
     record per request.
 
-    ``map`` sends independent requests together: first-token draws,
-    continuations, insertion probe rounds and warmed dialogues.
-    The calling thread sends a share, alongside at most ``max_in_flight - 1``
-    threads of one pool made on first use and kept, so at most
-    ``max_in_flight`` requests are in flight at once; at 1, no thread starts.
+    At most ``max_in_flight`` requests are in flight at once, whichever
+    threads send them: a semaphore is held around each send.  A key already
+    in flight is never sent twice (single flight): a second asker waits and
+    takes the cached reply, or sends the request itself if that attempt
+    failed.  ``map`` sends independent requests together: first-token draws,
+    continuations, insertion probe rounds and warmed dialogues.  The calling
+    thread sends a share, alongside at most ``max_in_flight - 1`` threads of
+    one pool made on first use and kept; at 1, no thread starts.  On the
+    crawler's prefetch lane (``oracle.prefetch_lane``), ``map`` runs inline,
+    so the lane holds at most one slot, and a request is tried once and is
+    not sent after the lane stops.
     """
 
     def __init__(
@@ -527,18 +534,24 @@ class ChatCompletionOracle:
             raise InvalidInputError(f"max_in_flight must be >= 1, got {max_in_flight}")
         self.max_in_flight = max_in_flight
         self._sleep = sleep
+        self._slots = threading.BoundedSemaphore(max_in_flight)
+        # The keys being sent, each with the event set once its send ends.
+        self._flights: dict[str, threading.Event] = {}
+        self._flights_lock = threading.Lock()
         self._pool: ThreadPoolExecutor | None = None
         self._pool_lock = threading.Lock()
 
     def map(self, fn, items) -> list:
         """``[fn(x) for x in items]``, with up to ``max_in_flight`` calls at once,
-        each thread claiming the next item from one shared iterator.  After a
-        call raises, no further item is started; the calls already running
-        finish, and the exception of the earliest failed item is raised.
+        each thread claiming the next item from one shared iterator, the
+        helpers in copies of the caller's context (its query-log tags).  After
+        a call raises, no further item is started; the calls already running
+        finish, and the exception of the earliest failed item is raised.  On
+        the prefetch lane every call runs inline.
         """
         items = list(items)
         helpers = min(self.max_in_flight, len(items)) - 1
-        if helpers < 1:
+        if helpers < 1 or on_prefetch_lane():
             return [fn(x) for x in items]
         results: list = [None] * len(items)
         failures: dict[int, Exception] = {}
@@ -579,7 +592,9 @@ class ChatCompletionOracle:
                 )
             pool = self._pool
         try:
-            futures = [pool.submit(drain) for _ in range(helpers)]
+            futures = [
+                pool.submit(contextvars.copy_context().run, drain) for _ in range(helpers)
+            ]
             drain()
         finally:
             # Also when the calling thread is interrupted, even inside submit():
@@ -607,15 +622,43 @@ class ChatCompletionOracle:
         cache if it holds one, else sent and then cached."""
         params = params or self.params
         key = ResponseCache.key_for(prompt, params, index)
-        hit = self.cache.get(key)
-        if hit is not None:
-            return CompletionResult(
-                text=hit["reply"],
-                prompt_tokens=hit.get("prompt_tokens", 0),
-                completion_tokens=hit.get("completion_tokens", 0),
-                cached=True,
-            )
+        mine = threading.Event()
+        try:
+            hit = self._claim(key, mine)
+            if hit is None:
+                return self._send(prompt, params, key, template_name)
+        finally:
+            # Also on an interrupt: a flight left behind would hold its waiters.
+            with self._flights_lock:
+                if self._flights.get(key) is mine:
+                    del self._flights[key]
+            mine.set()
+        return CompletionResult(
+            text=hit["reply"],
+            prompt_tokens=hit.get("prompt_tokens", 0),
+            completion_tokens=hit.get("completion_tokens", 0),
+            cached=True,
+        )
 
+    def _claim(self, key: str, mine: threading.Event) -> dict | None:
+        """The cached record under ``key``, or None once ``mine`` is the key's
+        flight, so that the calling thread is to send it.  A key in flight on
+        another thread is waited for, then looked up again."""
+        while True:
+            with self._flights_lock:
+                hit = self.cache.get(key)
+                if hit is not None:
+                    return hit
+                flight = self._flights.setdefault(key, mine)
+            if flight is mine:
+                return None
+            flight.wait()
+
+    def _send(
+        self, prompt: str, params: CompletionParams, key: str, template_name: str
+    ) -> CompletionResult:
+        """Send ``prompt``, retrying a retryable failure with backoff (once
+        only, on the prefetch lane), then bill, log and cache the reply."""
         body = {
             "model": params.model,
             "messages": [{"role": "user", "content": prompt}],
@@ -624,20 +667,23 @@ class ChatCompletionOracle:
             "max_tokens": params.max_tokens,
         }
         last_error: TransportError | None = None
-        for attempt in range(MAX_RETRIES + 1):
+        attempts = 1 if on_prefetch_lane() else MAX_RETRIES + 1
+        for attempt in range(attempts):
             if attempt:
                 delay = min(BACKOFF_BASE * 2 ** (attempt - 1), BACKOFF_CAP)
                 self._sleep(delay)
-            started = time.monotonic()
             try:
-                data = self.transport.send(body)
+                with self._slots:
+                    check_prefetch_lane()
+                    started = time.monotonic()
+                    data = self.transport.send(body)
                 text = _reply_text(data)
             except TransportError as exc:
                 last_error = exc
                 logger.warning(
                     "completion attempt %d/%d failed: %s",
                     attempt + 1,
-                    MAX_RETRIES + 1,
+                    attempts,
                     exc,
                 )
                 if not exc.retryable:

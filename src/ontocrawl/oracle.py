@@ -18,6 +18,7 @@ import logging
 import random
 import threading
 from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Callable, Mapping, Protocol, runtime_checkable
@@ -71,7 +72,13 @@ class KnowledgeOracle(Protocol):
     One optional hook answers independent calls concurrently: ``map(fn,
     items)``, ``[fn(x) for x in items]``, through which the crawler warms a
     listing's verification dialogues and insertion sends a round of probes.
-    Without it, every question is asked one at a time.
+    Without it, every question is asked one at a time.  An oracle with
+    ``map`` whose ``max_in_flight`` is 2 or more is also called from a second
+    thread during ``Crawler.run`` of a crawl without a ``max_concepts`` cap:
+    the prefetch lane asks the existence,
+    listing and description questions of frontier concepts ahead of their
+    steps, inside ``prefetch_lane``.  Such an oracle must answer calls from
+    both threads at once, and should run ``map`` inline on that lane.
     """
 
     def has_subconcepts(self, ctx: OracleContext, c: str) -> bool: ...
@@ -101,15 +108,52 @@ class KnowledgeOracle(Protocol):
     ) -> tuple[str, str]: ...
 
 
+# The stop event of the prefetch lane in the context of a call made on it.
+_LANE: ContextVar[threading.Event | None] = ContextVar("ontocrawl_prefetch_lane", default=None)
+
+
+class PrefetchStopped(Exception):
+    """Raised on a stopped prefetch lane in place of a send."""
+
+
+@contextmanager
+def prefetch_lane(stop: threading.Event):
+    """Mark the calls made inside as the prefetch lane's until ``stop`` is set;
+    after that, ``check_prefetch_lane`` refuses their sends."""
+    token = _LANE.set(stop)
+    try:
+        yield
+    finally:
+        _LANE.reset(token)
+
+
+def on_prefetch_lane() -> bool:
+    """Whether the calling code runs on the prefetch lane."""
+    return _LANE.get() is not None
+
+
+def check_prefetch_lane() -> None:
+    """Raise PrefetchStopped if the calling code runs on a stopped lane."""
+    stop = _LANE.get()
+    if stop is not None and stop.is_set():
+        raise PrefetchStopped("the prefetch lane is stopped")
+
+
+# Each query log's tags in the current context; replaced, never mutated.
+_TAGS: ContextVar[dict] = ContextVar("ontocrawl_query_log_tags", default={})
+
+
 class QueryLog:
     """Append-only record list shared by oracles and the crawler.
 
     Records are flat dicts.  ``tagged`` pushes extra key/value pairs onto every
-    record made inside the with-block (used to mark traversal phases).  Appends
-    are locked so concurrent probes interleave without corruption; tag scopes
-    themselves are managed by the single crawl thread, which waits while a
-    wave's requests are in flight.  The records of one concurrent wave land
-    in the order its requests complete, not in the order they were asked.
+    record made inside the with-block (used to mark traversal phases).  The
+    tags belong to the calling context, so a record made on another thread
+    carries none of them, unless that thread runs a copy of the context, as
+    the helpers of ``ChatCompletionOracle.map`` do.  Appends are locked so
+    concurrent probes interleave without corruption.  The records of one
+    concurrent wave land in the order its requests complete, not in the
+    order they were asked.
 
     With a ``path``, the file is truncated and then held open for appending,
     line-buffered, so each record is in the file when ``record`` returns;
@@ -119,7 +163,6 @@ class QueryLog:
     def __init__(self, path: str | Path | None = None):
         self.records: list[dict] = []
         self.path = Path(path) if path is not None else None
-        self._tags: dict[str, object] = {}
         self._lock = threading.Lock()
         self._fh = None
         if self.path is not None:
@@ -128,7 +171,7 @@ class QueryLog:
             self._fh = self.path.open("a", encoding="utf-8", buffering=1)
 
     def record(self, **fields: object) -> None:
-        rec = {**self._tags, **fields}
+        rec = {**_TAGS.get().get(self, {}), **fields}
         with self._lock:
             self.records.append(rec)
             if self._fh is not None:
@@ -140,12 +183,12 @@ class QueryLog:
 
     @contextmanager
     def tagged(self, **tags: object):
-        saved = dict(self._tags)
-        self._tags.update(tags)
+        scopes = _TAGS.get()
+        token = _TAGS.set({**scopes, self: {**scopes.get(self, {}), **tags}})
         try:
             yield self
         finally:
-            self._tags = saved
+            _TAGS.reset(token)
 
     def count(self, **match: object) -> int:
         return sum(

@@ -19,6 +19,7 @@ import pytest
 from ontocrawl import crawler as crawler_mod
 from ontocrawl.crawler import load_checkpoint
 from ontocrawl.errors import CrawlAbortedError, TransportError
+from ontocrawl.oracle import on_prefetch_lane
 from support import (
     FIXTURE_NAMES,
     CrawlOutcome,
@@ -216,9 +217,11 @@ def test_continuations_go_out_together_and_are_absorbed_in_token_order():
 def test_a_failure_inside_a_warm_pass_aborts_and_resumes_exactly(
     goats, tmp_path, monkeypatch, noisy
 ):
-    """At every request index that falls inside a warm pass, a non-retryable
-    failure aborts the crawl, and the resumed crawl ends where an
-    uninterrupted one does."""
+    """At every prompt a warm pass sends, a non-retryable failure of its
+    first asking aborts the crawl, and the resumed crawl ends where an
+    uninterrupted one does.  A failure is keyed on the prompt, not on a
+    request's place in the order of sends, which the prefetch lane makes
+    depend on thread timing."""
     noise = all_noise_modes(1) if noisy else None
     warming = threading.Event()
     verify_ahead = crawler_mod.verify_ahead
@@ -232,29 +235,33 @@ def test_a_failure_inside_a_warm_pass_aborts_and_resumes_exactly(
 
     monkeypatch.setattr(crawler_mod, "verify_ahead", flagged)
 
-    def counting(fail_at: int | None = None):
-        """A transport that numbers its requests from 0, notes which came
-        inside a warm pass, and refuses request ``fail_at``."""
-        sent, inside = [0], []
+    class Counting(TaxonomyTransport):
+        """Notes the prompts a warm pass sends, not those the prefetch lane
+        sends meanwhile, and refuses the first asking of ``fail_on``."""
 
-        def fail(_name, _bindings):
-            index = sent[0]
-            sent[0] += 1
-            if warming.is_set():
-                inside.append(index)
-            return index == fail_at
+        def __init__(self, fail_on: str | None = None):
+            super().__init__(goats, noise=noise)
+            self.fail_on, self.asked, self.inside = fail_on, set(), []
 
-        return TaxonomyTransport(goats, noise=noise, fail=fail), inside
+        def send(self, body: dict) -> dict:
+            prompt = body["messages"][0]["content"]
+            with self._lock:
+                first = prompt not in self.asked
+                self.asked.add(prompt)
+                if warming.is_set() and not on_prefetch_lane():
+                    self.inside.append(prompt)
+            if first and prompt == self.fail_on:
+                raise TransportError("HTTP 400", status=400, retryable=False)
+            return super().send(body)
 
-    transport, inside = counting()
+    transport = Counting()
     uninterrupted = llm_crawler(transport, goats.root, max_in_flight=2)
     uninterrupted.run()
-    assert len(inside) > 10
-    for k in inside:
+    assert len(transport.inside) > 10
+    for k, prompt in enumerate(transport.inside):
         out_dir = tmp_path / f"fail-{k}"
-        transport, _ = counting(fail_at=k)
         with pytest.raises(CrawlAbortedError):
-            llm_crawler(transport, goats.root, max_in_flight=2, out_dir=out_dir).run()
+            llm_crawler(Counting(prompt), goats.root, max_in_flight=2, out_dir=out_dir).run()
         resumed = llm_crawler(
             TaxonomyTransport(goats, noise=noise),
             goats.root,

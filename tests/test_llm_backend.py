@@ -588,6 +588,22 @@ def test_map_stops_and_waits_when_the_caller_is_interrupted():
     assert running[0] == 0
 
 
+def test_map_helpers_record_under_the_callers_tags():
+    """Insertion opens a phase and sends its round through ``map``: the
+    records the helpers make carry the phase too."""
+    log = QueryLog()
+    oracle = ChatCompletionOracle(StubTransport([]), max_in_flight=3)
+
+    def record(i):
+        time.sleep(0.01)
+        log.record(i=i, thread=threading.current_thread().name)
+
+    with log.tagged(phase="top"):
+        oracle.map(record, range(9))
+    assert [rec["phase"] for rec in log.records] == ["top"] * 9
+    assert any(rec["thread"] != threading.current_thread().name for rec in log.records)
+
+
 def test_list_subconcepts_validates_the_threshold():
     oracle, _, _ = make_oracle([])
     with pytest.raises(InvalidInputError):

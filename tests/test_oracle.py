@@ -442,6 +442,26 @@ def test_query_log_tags_scope_and_restore(goats):
     assert "phase" not in log.records[2]
 
 
+def test_query_log_tags_stay_on_the_thread_that_set_them():
+    """A record made on another thread while a phase is open carries none of
+    its tags, as a prefetched record must be the one its step writes."""
+    log = QueryLog()
+    with log.tagged(phase="top"):
+        elsewhere = threading.Thread(target=log.record, kwargs={"op": "elsewhere"})
+        elsewhere.start()
+        elsewhere.join()
+        log.record(op="here")
+        with QueryLog().tagged(phase="bottom"):  # another log's tags
+            log.record(op="again")
+    log.record(op="after")
+    assert log.records == [
+        {"op": "elsewhere"},
+        {"phase": "top", "op": "here"},
+        {"phase": "top", "op": "again"},
+        {"op": "after"},
+    ]
+
+
 def test_query_log_persists_jsonl(goats, tmp_path):
     path = tmp_path / "log" / "queries.jsonl"
     log = QueryLog(path)
