@@ -10,15 +10,16 @@ has ``map``, a listing's verification dialogues are first run together to
 warm its reply cache (``verify_ahead``); decisions still come one by one.
 
 Each step opens with one chain of dependent questions, ``explore``:
-existence, the listing, deduplication, the descriptions.  During ``run()``,
-with an oracle that has ``map`` and a ``max_in_flight`` of 2 or more and no
-``max_concepts`` cap, one background thread (the prefetch lane) runs that
-chain ahead for the next ``PREFETCH_AHEAD`` frontier concepts, each with a
-snapshot of what its prompts show: the seed, its discovering parent and
-their three stored descriptions.  The lane never reads the hierarchy and
-drops every result and every exception.  The step renders its own prompts
-from live state, so an unchanged prompt replays the lane's cached reply and
-a changed one is sent: outputs cannot depend on the lane, only the ledger.
+existence, the listing, deduplication, the descriptions.  During ``run()``
+of a crawl without a ``max_concepts`` cap, with an oracle whose ``lane``
+hook gives a view, one background thread (the prefetch lane) runs that
+chain through the view ahead for the next ``PREFETCH_AHEAD`` frontier
+concepts, each with a snapshot of what its prompts show: the seed, its
+discovering parent and their three stored descriptions.  The lane never
+reads the hierarchy and drops every result and every exception.  The step
+renders its own prompts from live state, so an unchanged prompt replays the
+lane's cached reply and a changed one is sent: outputs cannot depend on the
+lane, only the ledger.
 
 ``parse_checkpoint`` is the one reader of a checkpoint document: ``resume``,
 ``stats`` and ``export`` all read through it, so they refuse the same
@@ -44,9 +45,9 @@ import itertools
 import json
 import logging
 import os
-import queue
 import tempfile
 import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
@@ -60,7 +61,7 @@ from .errors import (
 )
 from .hierarchy import ConceptHierarchy, json_fields, normalize_name
 from .llm_backend import CompletionParams, CostLedger
-from .oracle import KnowledgeOracle, OracleContext, QueryLog, prefetch_lane
+from .oracle import KnowledgeOracle, OracleContext, QueryLog
 from .verification import verify, verify_ahead
 
 logger = logging.getLogger(__name__)
@@ -191,36 +192,14 @@ def explore(
     return names, listing
 
 
-class _PrefetchLane:
-    """One background thread that runs ``explore`` for the concepts handed to
-    it, in order, inside ``prefetch_lane``, for the replies alone: it drops
-    every result and every exception.  ``close`` stops it from sending and
-    joins it."""
-
-    def __init__(self, oracle: KnowledgeOracle, ft: int, n_samples: int):
-        self.handed: set[int] = set()
-        self._explore = lambda name, ctx: explore(oracle, ctx, name, ft, n_samples)
-        self._queue: queue.SimpleQueue = queue.SimpleQueue()
-        self._stop = threading.Event()
-        self._thread = threading.Thread(target=self._work, name="ontocrawl-prefetch")
-        self._thread.start()
-
-    def hand(self, cid: int, name: str, ctx: OracleContext) -> None:
-        self.handed.add(cid)
-        self._queue.put((name, ctx))
-
-    def close(self) -> None:
-        self._stop.set()
-        self._queue.put(None)
-        self._thread.join()
-
-    def _work(self) -> None:
-        with prefetch_lane(self._stop):
-            while (item := self._queue.get()) is not None:
-                try:
-                    self._explore(*item)
-                except Exception:  # the step asks again for itself
-                    logger.debug("prefetch of %r dropped", item[0], exc_info=True)
+def _prefetch(
+    oracle: KnowledgeOracle, ctx: OracleContext, c_name: str, ft: int, n_samples: int
+) -> None:
+    """``explore`` for the replies alone: the result and any exception are dropped."""
+    try:
+        explore(oracle, ctx, c_name, ft, n_samples)
+    except Exception:  # the step asks again for itself
+        logger.debug("prefetch of %r dropped", c_name, exc_info=True)
 
 
 class Crawler:
@@ -251,7 +230,8 @@ class Crawler:
         self.probe_baseline = 0
         # Committed ``discovered_from`` entries and rejections; None before the base.
         self._committed_counts: tuple[int, int] | None = None
-        self._lane: _PrefetchLane | None = None  # open only inside run()
+        # The lane's oracle and thread, and the ids handed to it; only inside run().
+        self._lane: tuple[KnowledgeOracle, ThreadPoolExecutor, set[int]] | None = None
         self._rewrite_rejection_file()
 
     # ------------------------------------------------------------------
@@ -302,13 +282,12 @@ class Crawler:
         The prefetch lane, if any, is stopped and joined before this returns
         or raises, so no request of this run is sent after it.
         """
-        oracle, lane = self.oracle, None
-        if (
-            hasattr(oracle, "map")
-            and getattr(oracle, "max_in_flight", 1) >= 2
-            and self.config.max_concepts is None
-        ):
-            lane = self._lane = _PrefetchLane(oracle, self.config.ft, self.config.n_samples)
+        stop = threading.Event()
+        lane = getattr(self.oracle, "lane", None)
+        view = lane(stop) if lane is not None and self.config.max_concepts is None else None
+        if view is not None:
+            pool = ThreadPoolExecutor(1, thread_name_prefix="ontocrawl-prefetch")
+            self._lane = (view, pool, set())
         try:
             while self.step():
                 pass
@@ -319,9 +298,10 @@ class Crawler:
                 f"crawl aborted by oracle failure: {exc}", checkpoint_path=path
             ) from exc
         finally:
-            if lane is not None:
+            if view is not None:
                 self._lane = None
-                lane.close()
+                stop.set()
+                pool.shutdown(cancel_futures=True)
         self._compact()
 
     # ------------------------------------------------------------------
@@ -330,15 +310,17 @@ class Crawler:
         """Hand the lane each of the next ``PREFETCH_AHEAD`` frontier concepts
         after ``cid`` that it has not had, with a context that shows what
         the concept's step will show if nothing it reads changes first."""
-        h, seed, lane = self.hierarchy, self.config.seed_name, self._lane
+        h, seed, (view, pool, handed) = self.hierarchy, self.config.seed_name, self._lane
         ahead = (other for other in h.frontier(self.config.exploration_depth) if other != cid)
         for other in itertools.islice(ahead, PREFETCH_AHEAD):
-            if other in lane.handed:
+            if other in handed:
                 continue
+            handed.add(other)
             name = h.concept(other).canonical_name
             parent = self.discovered_from.get(other)
             shown = {n: h.description_of(n) for n in (seed, parent, name) if n is not None}
-            lane.hand(other, name, OracleContext(seed, parent, known=shown.get))
+            ctx = OracleContext(seed, parent, known=shown.get)
+            pool.submit(_prefetch, view, ctx, name, self.config.ft, self.config.n_samples)
 
     def _process_candidates(
         self, cid: int, c_name: str, names: list[str], ctx: OracleContext

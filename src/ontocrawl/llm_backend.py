@@ -14,6 +14,7 @@ question again replays the reply instead of sending it.
 from __future__ import annotations
 
 import contextvars
+import copy
 import hashlib
 import json
 import logging
@@ -34,7 +35,7 @@ from .errors import (
     TransportError,
 )
 from .hierarchy import normalize_name
-from .oracle import OracleContext, QueryLog, check_prefetch_lane, on_prefetch_lane
+from .oracle import OracleContext, QueryLog
 
 logger = logging.getLogger(__name__)
 
@@ -184,15 +185,13 @@ def render(
             sentences.append(CONTEXT_SENTENCE_SELF)
         body = "".join(s + " " for s in sentences) + body
 
-    slots = set(_PLACEHOLDER_RE.findall(body))
-    missing = [s for s in sorted(slots) if s not in bindings or bindings[s] is None]
+    missing = sorted({s for s in _PLACEHOLDER_RE.findall(body) if bindings.get(s) is None})
     if missing:
         raise TemplateError(
             f"template {template_name!r} is missing bindings for {missing}"
         )
-    prompt = body
-    for slot in slots:
-        prompt = prompt.replace("{" + slot + "}", str(bindings[slot]))
+    # One pass, so that a bound value's own braces are never substituted.
+    prompt = _PLACEHOLDER_RE.sub(lambda m: str(bindings[m.group(1)]), body)
 
     if ctx is not None:
         lines = []
@@ -467,7 +466,10 @@ class HttpChatTransport:
                 status=resp.status_code,
                 retryable=retryable,
             )
-        return resp.json()
+        try:
+            return resp.json()
+        except ValueError as exc:  # a body that is not JSON fails like a dropped connection
+            raise TransportError(f"reply body is not JSON: {resp.text[:200]}") from exc
 
 
 def _reply_text(data) -> str:
@@ -505,10 +507,9 @@ class ChatCompletionOracle:
     failed.  ``map`` sends independent requests together: first-token draws,
     continuations, insertion probe rounds and warmed dialogues.  The calling
     thread sends a share, alongside at most ``max_in_flight - 1`` threads of
-    one pool made on first use and kept; at 1, no thread starts.  On the
-    crawler's prefetch lane (``oracle.prefetch_lane``), ``map`` runs inline,
-    so the lane holds at most one slot, and a request is tried once and is
-    not sent after the lane stops.
+    one pool made on first use and kept; at 1, no thread starts.  ``lane``
+    gives the crawler's prefetch lane a view of the oracle that holds at most
+    one slot, tries a request once and sends nothing once the lane stops.
     """
 
     def __init__(
@@ -540,18 +541,31 @@ class ChatCompletionOracle:
         self._flights_lock = threading.Lock()
         self._pool: ThreadPoolExecutor | None = None
         self._pool_lock = threading.Lock()
+        self._stop: threading.Event | None = None  # a lane view's; see ``lane``
+
+    def lane(self, stop: threading.Event) -> "ChatCompletionOracle | None":
+        """A view of this oracle for the prefetch lane, or None at
+        ``max_in_flight`` 1.  It shares the transport, the cache, the ledger,
+        the query log, the send slots and the single-flight table, but runs
+        ``map`` inline, so that it holds at most one slot, tries each request
+        once, and raises a non-retryable TransportError in place of any send
+        once ``stop`` is set."""
+        if self.max_in_flight < 2:
+            return None
+        view = copy.copy(self)
+        view.max_in_flight, view._stop = 1, stop
+        return view
 
     def map(self, fn, items) -> list:
         """``[fn(x) for x in items]``, with up to ``max_in_flight`` calls at once,
         each thread claiming the next item from one shared iterator, the
         helpers in copies of the caller's context (its query-log tags).  After
         a call raises, no further item is started; the calls already running
-        finish, and the exception of the earliest failed item is raised.  On
-        the prefetch lane every call runs inline.
+        finish, and the exception of the earliest failed item is raised.
         """
         items = list(items)
         helpers = min(self.max_in_flight, len(items)) - 1
-        if helpers < 1 or on_prefetch_lane():
+        if helpers < 1:
             return [fn(x) for x in items]
         results: list = [None] * len(items)
         failures: dict[int, Exception] = {}
@@ -657,8 +671,8 @@ class ChatCompletionOracle:
     def _send(
         self, prompt: str, params: CompletionParams, key: str, template_name: str
     ) -> CompletionResult:
-        """Send ``prompt``, retrying a retryable failure with backoff (once
-        only, on the prefetch lane), then bill, log and cache the reply."""
+        """Send ``prompt``, retrying a retryable failure with backoff (not on
+        a lane view), then bill, log and cache the reply."""
         body = {
             "model": params.model,
             "messages": [{"role": "user", "content": prompt}],
@@ -667,14 +681,15 @@ class ChatCompletionOracle:
             "max_tokens": params.max_tokens,
         }
         last_error: TransportError | None = None
-        attempts = 1 if on_prefetch_lane() else MAX_RETRIES + 1
+        attempts = MAX_RETRIES + 1 if self._stop is None else 1
         for attempt in range(attempts):
             if attempt:
                 delay = min(BACKOFF_BASE * 2 ** (attempt - 1), BACKOFF_CAP)
                 self._sleep(delay)
             try:
                 with self._slots:
-                    check_prefetch_lane()
+                    if self._stop is not None and self._stop.is_set():
+                        raise TransportError("the prefetch lane is stopped", retryable=False)
                     started = time.monotonic()
                     data = self.transport.send(body)
                 text = _reply_text(data)

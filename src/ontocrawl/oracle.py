@@ -72,13 +72,13 @@ class KnowledgeOracle(Protocol):
     One optional hook answers independent calls concurrently: ``map(fn,
     items)``, ``[fn(x) for x in items]``, through which the crawler warms a
     listing's verification dialogues and insertion sends a round of probes.
-    Without it, every question is asked one at a time.  An oracle with
-    ``map`` whose ``max_in_flight`` is 2 or more is also called from a second
-    thread during ``Crawler.run`` of a crawl without a ``max_concepts`` cap:
-    the prefetch lane asks the existence,
-    listing and description questions of frontier concepts ahead of their
-    steps, inside ``prefetch_lane``.  Such an oracle must answer calls from
-    both threads at once, and should run ``map`` inline on that lane.
+    Without it, every question is asked one at a time.  A second optional
+    hook, ``lane(stop)``, returns an oracle for the crawler's prefetch lane,
+    or None for none: during ``Crawler.run`` of a crawl without a
+    ``max_concepts`` cap, a second thread asks it the existence, listing and
+    description questions of frontier concepts ahead of their steps, and
+    sets the ``threading.Event`` ``stop`` when the run ends.  The oracle and
+    its lane oracle must answer calls from both threads at once.
     """
 
     def has_subconcepts(self, ctx: OracleContext, c: str) -> bool: ...
@@ -106,37 +106,6 @@ class KnowledgeOracle(Protocol):
     def subcategory_direction(
         self, ctx: OracleContext, d1: str, d2: str
     ) -> tuple[str, str]: ...
-
-
-# The stop event of the prefetch lane in the context of a call made on it.
-_LANE: ContextVar[threading.Event | None] = ContextVar("ontocrawl_prefetch_lane", default=None)
-
-
-class PrefetchStopped(Exception):
-    """Raised on a stopped prefetch lane in place of a send."""
-
-
-@contextmanager
-def prefetch_lane(stop: threading.Event):
-    """Mark the calls made inside as the prefetch lane's until ``stop`` is set;
-    after that, ``check_prefetch_lane`` refuses their sends."""
-    token = _LANE.set(stop)
-    try:
-        yield
-    finally:
-        _LANE.reset(token)
-
-
-def on_prefetch_lane() -> bool:
-    """Whether the calling code runs on the prefetch lane."""
-    return _LANE.get() is not None
-
-
-def check_prefetch_lane() -> None:
-    """Raise PrefetchStopped if the calling code runs on a stopped lane."""
-    stop = _LANE.get()
-    if stop is not None and stop.is_set():
-        raise PrefetchStopped("the prefetch lane is stopped")
 
 
 # Each query log's tags in the current context; replaced, never mutated.

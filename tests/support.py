@@ -451,15 +451,25 @@ class TaxonomyTransport:
 # crawls down the LLM path, and the crawl matrix
 
 
-class WithoutMap:
+# The name prefix of the prefetch lane's thread.
+LANE = "ontocrawl-prefetch"
+
+
+def on_lane() -> bool:
+    """Whether the calling code runs on the prefetch lane's thread."""
+    return threading.current_thread().name.startswith(LANE)
+
+
+class WithoutHooks:
     """Delegates to an oracle, attribute writes included, except that it
-    has no ``map``."""
+    has neither ``map`` nor ``lane``: a crawl through it warms no dialogue
+    and runs no prefetch lane."""
 
     def __init__(self, oracle):
         vars(self)["_oracle"] = oracle
 
     def __getattr__(self, name):
-        if name == "map":
+        if name in ("map", "lane"):
             raise AttributeError(name)
         return getattr(self._oracle, name)
 
@@ -495,7 +505,7 @@ def llm_crawler(
 ) -> Crawler:
     """A crawl of ``seed_name`` down the LLM path: a ``ChatCompletionOracle``
     over ``transport`` with the config's ``params``, as the CLI builds it,
-    behind ``WithoutMap`` if ``hide_map``, with ft and n_samples 5 unless
+    behind ``WithoutHooks`` if ``hide_map``, with ft and n_samples 5 unless
     ``config`` says otherwise.  With ``out_dir``, the checkpoint and the
     rejection file are written there; with checkpoint ``data``, the crawl
     goes on from it."""
@@ -511,7 +521,7 @@ def llm_crawler(
         ledger=CostLedger(),
         max_in_flight=max_in_flight,
     )
-    crawl_oracle = WithoutMap(oracle) if hide_map else oracle
+    crawl_oracle = WithoutHooks(oracle) if hide_map else oracle
     files = {"query_log": query_log}
     if out_dir is not None:
         out_dir.mkdir(parents=True, exist_ok=True)

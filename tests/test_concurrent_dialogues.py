@@ -4,8 +4,9 @@
 ``ChatCompletionOracle.map`` (``verification.verify_ahead``) before it
 verifies the candidates one by one, and ``list_subconcepts`` sends the
 continuations of all passing tokens at once.  Each crawl here is compared
-with a sequential reference: the same oracle behind ``WithoutMap``, which
-hides ``map`` from the crawler, so that no dialogue is warmed.
+with a sequential reference: the same oracle behind ``WithoutHooks``, which
+hides ``map`` and ``lane`` from the crawler, so that no dialogue is warmed
+and no concept prefetched.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ import pytest
 from ontocrawl import crawler as crawler_mod
 from ontocrawl.crawler import load_checkpoint
 from ontocrawl.errors import CrawlAbortedError, TransportError
-from ontocrawl.oracle import on_prefetch_lane
 from support import (
     FIXTURE_NAMES,
     CrawlOutcome,
@@ -27,6 +27,7 @@ from support import (
     all_noise_modes,
     decode,
     llm_crawler,
+    on_lane,
     outcome,
     reply,
 )
@@ -248,7 +249,7 @@ def test_a_failure_inside_a_warm_pass_aborts_and_resumes_exactly(
             with self._lock:
                 first = prompt not in self.asked
                 self.asked.add(prompt)
-                if warming.is_set() and not on_prefetch_lane():
+                if warming.is_set() and not on_lane():
                     self.inside.append(prompt)
             if first and prompt == self.fail_on:
                 raise TransportError("HTTP 400", status=400, retryable=False)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import re
 import signal
 import string
@@ -197,6 +198,16 @@ def test_render_errors():
         render("verify_subcat", {"C": "Dairy Goats"})
     with pytest.raises(TemplateError, match="missing bindings"):
         render("listing_continuation", {"C0": "Goats", "D": "Goats", "C": "X"})
+
+
+def test_render_leaves_the_placeholders_inside_bound_values():
+    """Slots are substituted in one pass, so a value that holds another
+    slot's placeholder gives one prompt, and one cache key, in every process."""
+    bindings = {"C0": "Goats", "C": "Dairy {D}", "D": "Breeds of {C}"}
+    assert render("verify_subcat", bindings) == (
+        "Dairy {D} is a subcategory of Goats. Is Breeds of {C} typically "
+        "understood as a subcategory of Dairy {D}? Answer only with yes or no."
+    )
 
 
 NAMES = st.lists(
@@ -756,10 +767,10 @@ class DummyResponse:
     def __init__(self, status_code: int, text: str = "", payload: dict | None = None):
         self.status_code = status_code
         self.text = text
-        self._payload = payload or {}
+        self._payload = payload
 
     def json(self) -> dict:
-        return self._payload
+        return json.loads(self.text) if self._payload is None else self._payload
 
 
 def test_http_transport_requires_the_api_key_env(monkeypatch):
@@ -801,6 +812,25 @@ def test_http_transport_maps_status_codes(monkeypatch):
         transport.send({"model": "m"})
     assert exc.value.retryable is False
     assert "sk-test-secret" not in str(exc.value)  # key never leaks into errors
+
+
+def test_http_transport_retries_a_reply_that_is_not_json(monkeypatch):
+    """A 200 reply whose body is not JSON fails retryably, like a dropped
+    connection, so the oracle sends the request again."""
+    import requests
+
+    monkeypatch.setenv("OPENAI_API_KEY", "sk-test-secret")
+    gateway = DummyResponse(200, text="<html>gateway</html>")
+    responses = [gateway, gateway, DummyResponse(200, payload=reply("Yes"))]
+    monkeypatch.setattr(requests, "post", lambda *args, **kwargs: responses.pop(0))
+    with pytest.raises(TransportError, match="not JSON") as exc:
+        HttpChatTransport().send({"model": "m"})
+    assert exc.value.retryable is True
+
+    sleeps: list[float] = []
+    oracle = ChatCompletionOracle(HttpChatTransport(), max_in_flight=1, sleep=sleeps.append)
+    assert oracle.complete("hi").text == "Yes"
+    assert not responses and sleeps == [0.5]
 
 
 def test_http_transport_wraps_connection_errors(monkeypatch):

@@ -4,8 +4,10 @@ During ``Crawler.run`` one background thread asks the opening questions of
 the next frontier concepts (existence, listing, descriptions) ahead of their
 steps.  ``ChatCompletionOracle`` holds a semaphore around every send, so the
 bound on requests in flight covers both threads, and sends a key at most
-once at a time (single flight).  Each crawl here is compared with one that
-cannot prefetch: the same oracle behind ``WithoutMap``.
+once at a time (single flight).  The lane asks through the view that
+``ChatCompletionOracle.lane`` gives, and a request it sends is recognised
+by the name of the thread sending it.  Each crawl here is compared with one
+that cannot prefetch: the same oracle behind ``WithoutHooks``.
 """
 
 from __future__ import annotations
@@ -15,20 +17,18 @@ import sys
 import threading
 import time
 from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
 from ontocrawl import ChatCompletionOracle, CostLedger, OracleContext, QueryLog
 from ontocrawl import crawler as crawler_mod
 from ontocrawl.errors import CrawlAbortedError, TransportError
-from ontocrawl.oracle import on_prefetch_lane
-from support import TaxonomyTransport, llm_crawler, outcome, reply
-
-LANE = "ontocrawl-prefetch"
+from support import LANE, StubTransport, TaxonomyTransport, llm_crawler, on_lane, outcome, reply
 
 
 def lane_threads() -> list[threading.Thread]:
-    return [t for t in threading.enumerate() if t.name == LANE]
+    return [t for t in threading.enumerate() if t.name.startswith(LANE)]
 
 
 class LaneTransport(TaxonomyTransport):
@@ -43,7 +43,7 @@ class LaneTransport(TaxonomyTransport):
         self.overlaps = self.lane_peak = 0
 
     def send(self, body: dict) -> dict:
-        lane = on_prefetch_lane()
+        lane = on_lane()
         with self._lock:
             self.arrived.append(lane)
             self.flying[lane] += 1
@@ -160,6 +160,37 @@ def test_many_askers_of_few_keys_send_each_once():
     assert oracle.ledger.requests == len(prompts)
 
 
+def test_a_lane_request_is_tried_once_and_the_step_retries_it():
+    """A retryable failure of a request sent through the lane's view is not
+    retried, so the view never waits; the step asking the same prompt sends
+    it again, with the usual backoff."""
+    failure = TransportError("HTTP 503", status=503)
+    transport = StubTransport([failure, failure, reply("Yes")])
+    sleeps: list[float] = []
+    oracle = ChatCompletionOracle(
+        transport, ledger=CostLedger(), max_in_flight=2, sleep=sleeps.append
+    )
+    with pytest.raises(TransportError):
+        oracle.lane(threading.Event()).complete("Is it?")
+    assert len(transport.bodies) == 1 and sleeps == []
+    assert oracle.complete("Is it?").text == "Yes"
+    assert len(transport.bodies) == 3 and sleeps == [0.5]
+    assert oracle.ledger.requests == 1
+
+
+def test_a_reply_cached_through_the_lane_is_a_hit_for_the_oracle():
+    transport = StubTransport([reply("Yes")])
+    oracle = ChatCompletionOracle(transport, ledger=CostLedger(), max_in_flight=2)
+    assert not oracle.lane(threading.Event()).complete("Is it?").cached
+    assert oracle.complete("Is it?").cached
+    assert len(transport.bodies) == oracle.ledger.requests == 1
+
+
+def test_there_is_no_lane_at_one_request_in_flight():
+    oracle = ChatCompletionOracle(StubTransport([]), max_in_flight=1)
+    assert oracle.lane(threading.Event()) is None
+
+
 @pytest.mark.parametrize("max_in_flight", [2, 3])
 def test_the_bound_holds_across_the_lane_and_the_crawl(goats, max_in_flight):
     transport = LaneTransport(goats, latency_s=0.005)
@@ -198,6 +229,15 @@ def sequential(taxonomy, transport=None):
     return crawler
 
 
+def test_a_reference_crawl_runs_no_lane(goats):
+    """``WithoutHooks`` hides ``lane`` as well as ``map``, so a crawl that
+    cannot prefetch sends nothing from the lane's thread."""
+    transport = LaneTransport(goats)
+    crawler = sequential(goats, transport)
+    assert len(crawler.hierarchy) == 14
+    assert transport.arrived and not any(transport.arrived)
+
+
 @pytest.mark.parametrize("template", ["existence", "listing"])
 def test_a_refused_prefetch_is_dropped_and_asked_again(goats, template):
     """The lane's first existence question, or first first-token draw, is
@@ -206,7 +246,7 @@ def test_a_refused_prefetch_is_dropped_and_asked_again(goats, template):
     refused = []
 
     def fail(name, b):
-        if name == template and on_prefetch_lane() and not refused:
+        if name == template and on_lane() and not refused:
             refused.append(b["C"])
             return True
         return False
@@ -231,7 +271,7 @@ class UnsureTransport(TaxonomyTransport):
 
     def _answer(self, name, b, draw):
         if name == "existence" and not self.unsure:
-            if self.concept is None and on_prefetch_lane():
+            if self.concept is None and on_lane():
                 self.concept = b["C"]
             if b["C"] == self.concept:
                 self.unsure = True
@@ -250,17 +290,22 @@ def test_an_unparseable_prefetched_reply_is_replayed_as_a_sequential_crawl_gets_
 
 
 def test_a_stopped_lane_sends_nothing_more():
-    """A lane closed while a request is in flight lets that request end, and
-    sends neither the questions that would follow it nor those of the
-    concepts still queued."""
+    """A lane closed as ``Crawler.run`` closes it, while a request is in
+    flight, lets that request end, and sends neither the questions that
+    would follow it nor those of the concepts still queued."""
     transport = GatedTransport()
-    lane = crawler_mod._PrefetchLane(
-        ChatCompletionOracle(transport, max_in_flight=2), ft=1, n_samples=3
-    )
-    for cid, name in enumerate(("Dairy Goats", "Meat Goats"), start=1):
-        lane.hand(cid, name, OracleContext("Goats"))
+    stop = threading.Event()
+    view = ChatCompletionOracle(transport, max_in_flight=2).lane(stop)
+    pool = ThreadPoolExecutor(1, thread_name_prefix=LANE)
+    for name in ("Dairy Goats", "Meat Goats"):
+        pool.submit(crawler_mod._prefetch, view, OracleContext("Goats"), name, 1, 3)
     assert transport.entered.wait(5)  # the first existence question
-    closing = threading.Thread(target=lane.close)
+
+    def close() -> None:
+        stop.set()
+        pool.shutdown(cancel_futures=True)
+
+    closing = threading.Thread(target=close)
     closing.start()
     time.sleep(0.05)  # the lane is stopped while its request is held
     transport.release.set()
@@ -285,7 +330,7 @@ def test_the_lane_is_gone_when_run_returns_or_aborts(goats, tmp_path):
     probes = []
 
     def fail(name, _b):
-        if name == "verify_subcat" and not on_prefetch_lane():
+        if name == "verify_subcat" and not on_lane():
             probes.append(name)
             return len(probes) == 6
         return False
@@ -301,7 +346,7 @@ def test_the_lane_is_gone_when_the_crawl_is_interrupted(goats):
 
     def interrupt(_name, _b):
         # At the first crawl-path request after the lane has sent one.
-        if not on_prefetch_lane() and any(transport.arrived) and not interrupted:
+        if not on_lane() and any(transport.arrived) and not interrupted:
             interrupted.append(True)
             signal.pthread_kill(threading.main_thread().ident, signal.SIGINT)
         return False
