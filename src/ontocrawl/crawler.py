@@ -269,7 +269,7 @@ class Crawler:
         except TransportError:
             self._commit()
             raise
-        self.hierarchy.mark_explored(cid)
+        self.hierarchy.mark_explored(self.hierarchy.find_by_name(c_name))
         self.explorations += 1
         self._commit()
         return True
@@ -350,6 +350,8 @@ class Crawler:
                 insertion.record_rediscovery(
                     self.hierarchy, self.oracle, ctx, existing, cid
                 )
+                # A merge may fold ``c_name`` into an earlier concept: go on under it.
+                cid = self.hierarchy.find_by_name(c_name)
                 continue
             # Brute force would ask both directions against every concept.
             baseline = 2 * len(self.hierarchy)
@@ -360,7 +362,6 @@ class Crawler:
                 final_name,
                 ctx.descriptions.get(cand) or None,
                 cid,
-                query_log=self.query_log,
             )
             self.probes_issued += placement.probes_issued
             self.probe_baseline += baseline

@@ -99,12 +99,12 @@ def to_owl_rdfxml(h: ConceptHierarchy, base_iri: str = DEFAULT_BASE_IRI) -> str:
     return "\n".join(lines) + "\n"
 
 
-def to_dot(h: ConceptHierarchy, graph_name: str = "hierarchy") -> str:
+def to_dot(h: ConceptHierarchy) -> str:
     """Graphviz digraph with edges drawn parent -> child."""
     def esc(text: str) -> str:
         return text.replace("\\", "\\\\").replace('"', '\\"')
 
-    lines = [f"digraph {graph_name} {{", "  rankdir=TB;"]
+    lines = ["digraph hierarchy {", "  rankdir=TB;"]
     for concept in h.concepts():
         # Escape before joining so the \n line break survives untouched.
         label = esc(concept.canonical_name)

@@ -7,7 +7,9 @@ whole cone below it.  The discovering edge and everything above it come for
 free (imposed transitivity) and are never re-verified.  The bottom search is
 symmetric and runs only inside the region below all found parents.  A concept
 appearing on both sides is a synonym candidate and is resolved by an
-interchangeability question, falling back to a direction question.
+interchangeability question, falling back to a direction question.  A probe
+or interchangeability answer that is still unparseable after its retry reads
+as no, and an unparseable direction keeps the top-search edge.
 
 Both searches run on one scheduler, in rounds.  Each candidate keeps a count
 of the neighbours it needs (its parents in the top search, its children in
@@ -20,18 +22,19 @@ probes depends on another's answer.  Each round is issued as one batch: an
 oracle with ``map`` may send its questions concurrently, any other oracle
 answers them one by one in id order.  The answers are applied in
 id order on the calling thread, which alone reads and mutates the hierarchy.
+The query-log records of each search carry its phase, set with
+``oracle.tagged``, so ``insert`` needs no handle on the log.
 """
 
 from __future__ import annotations
 
-import contextlib
 import logging
 from dataclasses import dataclass, field, replace
 from typing import Container, Mapping
 
 from .errors import CycleError, OracleParseError
 from .hierarchy import ConceptHierarchy, normalize_name
-from .oracle import KnowledgeOracle, OracleContext, QueryLog
+from .oracle import KnowledgeOracle, OracleContext, tagged
 
 logger = logging.getLogger(__name__)
 
@@ -49,6 +52,15 @@ class Placement:
     synonym_of: int | None = None
     probes_issued: int = 0
     dropped_edges: list[tuple[str, str]] = field(default_factory=list)
+
+
+def _yes(ask, *args) -> bool:
+    """``ask(*args)``, with an answer still unparseable after its retry read as no."""
+    try:
+        return ask(*args)
+    except OracleParseError as exc:
+        logger.warning("%s; reading it as no", exc)
+        return False
 
 
 class _ProbeSession:
@@ -80,8 +92,8 @@ class _ProbeSession:
     def _ask(self, questions: list[tuple[OracleContext, str, str]]) -> list[bool]:
         oracle = self.oracle
         if hasattr(oracle, "map"):
-            return oracle.map(lambda q: oracle.is_subcategory_of(*q), questions)
-        return [oracle.is_subcategory_of(*q) for q in questions]
+            return oracle.map(lambda q: _yes(oracle.is_subcategory_of, *q), questions)
+        return [_yes(oracle.is_subcategory_of, *q) for q in questions]
 
     def probe_up(self, cids: list[int]) -> list[bool]:
         """Does each existing concept in ``cids`` subsume the new one?"""
@@ -199,33 +211,27 @@ def insert(
     name: str,
     description: str | None,
     entry: int,
-    *,
-    query_log: QueryLog | None = None,
 ) -> Placement:
     """Classify ``name`` against the hierarchy and wire it in.
 
     ``entry`` is the concept whose listing produced the name; the edge to it
     is trusted.  Every prompt of the insert reads stored descriptions from
-    ``h``.  Returns the placement, including the number of probes issued.
+    ``h``.  The query-log records of the two searches are tagged with
+    ``phase`` "top" and "bottom".  Returns the placement, including the
+    number of probes issued.
     """
     ctx = replace(ctx, known=h.description_of)
     session = _ProbeSession(h, oracle, ctx, name)
-
-    def phase(label: str):
-        if query_log is None:
-            return contextlib.nullcontext()
-        return query_log.tagged(phase=label)
-
-    with phase("top"):
+    with tagged(phase="top"):
         parents = top_search(h, session, entry)
-    with phase("bottom"):
+    with tagged(phase="bottom"):
         children = bottom_search(h, session, parents)
 
     placement = Placement(probes_issued=session.issued)
 
     for d in sorted(parents & children):
         d_name = h.concept(d).canonical_name
-        if oracle.interchangeable(ctx, name, d_name):
+        if _yes(oracle.interchangeable, ctx, name, d_name):
             return _absorb(h, placement, name, description, d, children)
         try:
             sub, _sup = oracle.subcategory_direction(ctx, name, d_name)
@@ -314,7 +320,8 @@ def record_rediscovery(
 
     Returns one of "self", "edge_added", "implied", "merged", "dropped".
     Cycles escalate to synonym resolution; a refused merge keeps the earlier
-    relation and drops the new edge.
+    relation and drops the new edge.  A merge keeps the smaller id, so it
+    may fold ``entry`` into ``existing``.
     """
     if existing == entry:
         return "self"
@@ -324,7 +331,7 @@ def record_rediscovery(
     except CycleError:
         e_name = h.concept(existing).canonical_name
         n_name = h.concept(entry).canonical_name
-        if oracle.interchangeable(ctx, e_name, n_name):
+        if _yes(oracle.interchangeable, ctx, e_name, n_name):
             try:
                 h.merge_synonyms(existing, entry)
                 return "merged"

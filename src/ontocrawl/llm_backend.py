@@ -472,23 +472,25 @@ class HttpChatTransport:
             raise TransportError(f"reply body is not JSON: {resp.text[:200]}") from exc
 
 
-def _reply_text(data) -> str:
-    """``choices[0].message.content`` of a reply body; a body without that
-    string fails like a dropped connection, retryably."""
+def _read_reply(data) -> tuple[str, int, int]:
+    """``choices[0].message.content`` of a reply body and its prompt and
+    completion token counts.  A body without that string fails like a
+    dropped connection, retryably; a count that is not a non-negative int
+    bills 0, as a missing ``usage`` does."""
     try:
         text = data["choices"][0]["message"]["content"]
     except (KeyError, IndexError, TypeError):
         text = None
     if not isinstance(text, str):
         raise TransportError(f"malformed reply body: {str(data)[:200]}")
-    return text
+    usage = data.get("usage") if isinstance(data.get("usage"), dict) else {}
+    counts = (usage.get("prompt_tokens"), usage.get("completion_tokens"))
+    return text, *(n if type(n) is int and n >= 0 else 0 for n in counts)
 
 
 @dataclass
 class CompletionResult:
     text: str
-    prompt_tokens: int
-    completion_tokens: int
     cached: bool = False
 
 
@@ -647,12 +649,7 @@ class ChatCompletionOracle:
                 if self._flights.get(key) is mine:
                     del self._flights[key]
             mine.set()
-        return CompletionResult(
-            text=hit["reply"],
-            prompt_tokens=hit.get("prompt_tokens", 0),
-            completion_tokens=hit.get("completion_tokens", 0),
-            cached=True,
-        )
+        return CompletionResult(hit["reply"], cached=True)
 
     def _claim(self, key: str, mine: threading.Event) -> dict | None:
         """The cached record under ``key``, or None once ``mine`` is the key's
@@ -692,7 +689,7 @@ class ChatCompletionOracle:
                         raise TransportError("the prefetch lane is stopped", retryable=False)
                     started = time.monotonic()
                     data = self.transport.send(body)
-                text = _reply_text(data)
+                text, pt, ct = _read_reply(data)
             except TransportError as exc:
                 last_error = exc
                 logger.warning(
@@ -705,9 +702,6 @@ class ChatCompletionOracle:
                     break
                 continue
             latency_ms = (time.monotonic() - started) * 1000.0
-            usage = data.get("usage") or {}
-            pt = int(usage.get("prompt_tokens", 0))
-            ct = int(usage.get("completion_tokens", 0))
             prices = DEFAULT_PRICE_TABLE.get(params.model, (0.0, 0.0))
             self.ledger.add(pt, ct, prices[0], prices[1])
             if self.query_log is not None:
@@ -723,12 +717,10 @@ class ChatCompletionOracle:
             self.cache.put(
                 key, {"reply": text, "prompt_tokens": pt, "completion_tokens": ct}
             )
-            return CompletionResult(text=text, prompt_tokens=pt, completion_tokens=ct)
+            return CompletionResult(text)
         raise last_error if last_error is not None else TransportError("request failed")
 
-    def sample_first_tokens(
-        self, prompt: str, n_samples: int, *, template_name: str = "listing"
-    ) -> dict[str, int]:
+    def sample_first_tokens(self, prompt: str, n_samples: int) -> dict[str, int]:
         """Frequency map of the non-blank first completion tokens over
         ``n_samples`` draws, draw ``i`` cached at index ``i``.  A draw that
         exhausts its retries raises, like any other request, rather than
@@ -738,7 +730,7 @@ class ChatCompletionOracle:
 
         def one(i: int) -> str:
             return self.complete(
-                prompt, self.sampling_params, template_name=template_name, index=i
+                prompt, self.sampling_params, template_name="listing", index=i
             ).text
 
         for text in self.map(one, range(n_samples)):

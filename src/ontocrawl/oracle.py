@@ -108,21 +108,31 @@ class KnowledgeOracle(Protocol):
     ) -> tuple[str, str]: ...
 
 
-# Each query log's tags in the current context; replaced, never mutated.
+# The query-log tags of the current context; replaced, never mutated.
 _TAGS: ContextVar[dict] = ContextVar("ontocrawl_query_log_tags", default={})
+
+
+@contextmanager
+def tagged(**tags: object):
+    """Add ``tags`` to every query-log record made inside the with-block
+    (used to mark traversal phases), whichever log makes it.  The tags belong
+    to the calling context, so a record made on another thread carries none
+    of them, unless that thread runs a copy of the context, as the helpers of
+    ``ChatCompletionOracle.map`` do."""
+    token = _TAGS.set({**_TAGS.get(), **tags})
+    try:
+        yield
+    finally:
+        _TAGS.reset(token)
 
 
 class QueryLog:
     """Append-only record list shared by oracles and the crawler.
 
-    Records are flat dicts.  ``tagged`` pushes extra key/value pairs onto every
-    record made inside the with-block (used to mark traversal phases).  The
-    tags belong to the calling context, so a record made on another thread
-    carries none of them, unless that thread runs a copy of the context, as
-    the helpers of ``ChatCompletionOracle.map`` do.  Appends are locked so
-    concurrent probes interleave without corruption.  The records of one
-    concurrent wave land in the order its requests complete, not in the
-    order they were asked.
+    Records are flat dicts; each one starts with the tags ``tagged`` has open
+    in the recording context.  Appends are locked so concurrent probes
+    interleave without corruption.  The records of one concurrent wave land
+    in the order its requests complete, not in the order they were asked.
 
     With a ``path``, the file is truncated and then held open for appending,
     line-buffered, so each record is in the file when ``record`` returns;
@@ -140,7 +150,7 @@ class QueryLog:
             self._fh = self.path.open("a", encoding="utf-8", buffering=1)
 
     def record(self, **fields: object) -> None:
-        rec = {**_TAGS.get().get(self, {}), **fields}
+        rec = {**_TAGS.get(), **fields}
         with self._lock:
             self.records.append(rec)
             if self._fh is not None:
@@ -149,15 +159,6 @@ class QueryLog:
     def close(self) -> None:
         if self._fh is not None:
             self._fh.close()
-
-    @contextmanager
-    def tagged(self, **tags: object):
-        scopes = _TAGS.get()
-        token = _TAGS.set({**scopes, self: {**scopes.get(self, {}), **tags}})
-        try:
-            yield self
-        finally:
-            _TAGS.reset(token)
 
     def count(self, **match: object) -> int:
         return sum(

@@ -234,8 +234,8 @@ def test_dot_escapes_quotes_and_backslashes():
     h = ConceptHierarchy("Seed")
     cid = h.add_concept('Say "Cheese"', [h.seed_id])
     h.add_synonym_name(cid, "Back\\slash")
-    dot = to_dot(h, graph_name="g")
-    assert dot.splitlines()[0] == "digraph g {"
+    dot = to_dot(h)
+    assert dot.splitlines()[0] == "digraph hierarchy {"
     assert '[label="Say \\"Cheese\\"\\n(= Back\\\\slash)"];' in dot
 
 

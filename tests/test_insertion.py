@@ -64,9 +64,7 @@ def mk(taxonomy):
 def test_first_insert_into_a_bare_seed_needs_no_probes(goats):
     h = ConceptHierarchy("Goats")
     oracle, ctx, log = mk(goats)
-    placement = insert(
-        h, oracle, ctx, "Dairy Goats", "Kept for milk.", h.seed_id, query_log=log
-    )
+    placement = insert(h, oracle, ctx, "Dairy Goats", "Kept for milk.", h.seed_id)
     assert placement.parents == {h.seed_id}
     assert placement.children == set()
     assert placement.probes_issued == 0
@@ -78,7 +76,7 @@ def test_insertion_rewires_an_existing_child_below_the_newcomer(goats):
     h = ConceptHierarchy("Goats")
     saanen = h.add_concept("Saanen", [h.seed_id])
     oracle, ctx, log = mk(goats)
-    placement = insert(h, oracle, ctx, "Dairy Goats", None, h.seed_id, query_log=log)
+    placement = insert(h, oracle, ctx, "Dairy Goats", None, h.seed_id)
     assert placement.children == {saanen}
     assert placement.probes_issued == 2
     assert h.direct_parents(saanen) == {placement.concept_id}
@@ -91,7 +89,7 @@ def test_top_search_finds_a_second_parent_with_one_probe(goats):
     dairy = h.add_concept("Dairy Goats", [h.seed_id])
     mini = h.add_concept("Mini. Goats", [h.seed_id])
     oracle, ctx, log = mk(goats)
-    placement = insert(h, oracle, ctx, "Nigerian Dwarf", None, dairy, query_log=log)
+    placement = insert(h, oracle, ctx, "Nigerian Dwarf", None, dairy)
     assert placement.parents == {dairy, mini}
     assert placement.probes_issued == 1
     assert probe_pairs(log, "top") == [("Nigerian Dwarf", "Mini. Goats")]
@@ -105,7 +103,7 @@ def test_failed_probes_prune_their_whole_cone(goats):
     h = hierarchy_from_taxonomy(goats, skip=("Nigora",))
     fiber = h.find_by_name("Fiber Goats")
     oracle, ctx, log = mk(goats)
-    placement = insert(h, oracle, ctx, "Nigora", None, fiber, query_log=log)
+    placement = insert(h, oracle, ctx, "Nigora", None, fiber)
     assert placement.parents == {fiber}
     assert placement.children == set()
     # Up: the seed's other children in id order, then Fiber's child.  The
@@ -126,7 +124,7 @@ def test_bottom_search_skips_parents_of_negative_children(goats):
     dairy = h.add_concept("Dairy Goats", [h.seed_id])
     h.add_concept("Saanen", [dairy])
     oracle, ctx, log = mk(goats)
-    placement = insert(h, oracle, ctx, "Meat Goats", None, h.seed_id, query_log=log)
+    placement = insert(h, oracle, ctx, "Meat Goats", None, h.seed_id)
     assert placement.parents == {h.seed_id}
     assert placement.children == set()
     assert probe_pairs(log, "top") == [("Meat Goats", "Dairy Goats")]
@@ -141,7 +139,7 @@ def test_synonym_discovered_on_both_sides_is_absorbed():
     h.add_concept("Cattle", [h.seed_id])
     dairy = h.add_concept("Dairy Goats", [goats])
     oracle, ctx, log = mk(FARM)
-    placement = insert(h, oracle, ctx, "Milk Goats", "Milkers.", goats, query_log=log)
+    placement = insert(h, oracle, ctx, "Milk Goats", "Milkers.", goats)
     assert placement.synonym_of == dairy
     assert placement.concept_id is None
     assert len(h) == 4  # no new node
@@ -287,9 +285,7 @@ def test_probe_accounting_balances_over_a_full_build(goats):
     total_issued = 0
     for name, entry_name in plan:
         entry = h.find_by_name(entry_name)
-        placement = insert(
-            h, oracle, ctx, name, goats.description_for(name), entry, query_log=log
-        )
+        placement = insert(h, oracle, ctx, name, goats.description_for(name), entry)
         total_issued += placement.probes_issued
         h.verify_integrity()
     assert len(h) == 14

@@ -42,6 +42,7 @@ from ontocrawl.llm_backend import (
     passing_tokens,
     render,
 )
+from ontocrawl.oracle import tagged
 from support import StubTransport, decode, llm_crawler, reply
 
 CTX = OracleContext(seed_name="Goats")
@@ -609,7 +610,7 @@ def test_map_helpers_record_under_the_callers_tags():
         time.sleep(0.01)
         log.record(i=i, thread=threading.current_thread().name)
 
-    with log.tagged(phase="top"):
+    with tagged(phase="top"):
         oracle.map(record, range(9))
     assert [rec["phase"] for rec in log.records] == ["top"] * 9
     assert any(rec["thread"] != threading.current_thread().name for rec in log.records)
