@@ -2,13 +2,16 @@
 
 The wire protocol is a plain chat-completions POST carrying one user message.
 Listing uses first-token frequency sampling: the listing prompt is sampled
-``n_samples`` times with ``max_tokens=1`` at high temperature, and every first
-token reaching the frequency threshold spawns a full listing prompt forced to
-start with that token.  All other prompts run under the configured parameters
-(temperature 0 by default).  One replay rule holds for every request: its reply
-is cached under the prompt, the parameters and an index (a draw's number, or
-the attempt number of a retry after an unparseable reply), so asking the same
-question again replays the reply instead of sending it.
+up to ``n_samples`` times with ``max_tokens=1`` at high temperature, and every
+first token reaching the frequency threshold spawns a full listing prompt
+forced to start with that token.  Sampling stops once the draws left cannot
+change which tokens pass, or their order, so the listing is the one that all
+``n_samples`` draws would give (a sequential test in Wald's sense).  All other
+prompts run under the configured parameters (temperature 0 by default).  One
+replay rule holds for every request: its reply is cached under the prompt, the
+parameters and an index (a draw's number, or the attempt number of a retry
+after an unparseable reply), so asking the same question again replays the
+reply instead of sending it.
 """
 
 from __future__ import annotations
@@ -294,6 +297,20 @@ def passing_tokens(frequencies: dict[str, int], ft: int) -> list[str]:
         raise InvalidInputError(f"frequency threshold must be >= 1, got {ft}")
     chosen = [(count, tok) for tok, count in frequencies.items() if count >= ft]
     return [tok for count, tok in sorted(chosen, key=lambda p: (-p[0], p[1]))]
+
+
+def _decided(counts: dict[str, int], left: int, ft: int) -> bool:
+    """Whether no ``left`` further draws can change ``passing_tokens(counts,
+    ft)``: no token below ``ft``, an undrawn one at 0, can reach it, and no
+    passing token can overtake or tie past the one before it, even if it
+    takes every draw left.  Adjacent pairs suffice: if a token can pass an
+    earlier one, so can every token between them."""
+    if left >= ft or any(ft - left <= count < ft for count in counts.values()):
+        return False
+    passing = passing_tokens(counts, ft)
+    return all(
+        (-counts[a], a) < (-(counts[b] + left), b) for a, b in zip(passing, passing[1:])
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -720,12 +737,24 @@ class ChatCompletionOracle:
             return CompletionResult(text)
         raise last_error if last_error is not None else TransportError("request failed")
 
-    def sample_first_tokens(self, prompt: str, n_samples: int) -> dict[str, int]:
-        """Frequency map of the non-blank first completion tokens over
-        ``n_samples`` draws, draw ``i`` cached at index ``i``.  A draw that
-        exhausts its retries raises, like any other request, rather than
-        lowering the counts.
+    def sample_first_tokens(
+        self, prompt: str, n_samples: int, ft: int = 1
+    ) -> dict[str, int]:
+        """Frequency map of the non-blank first completion tokens over the
+        draws of ``prompt`` it takes to decide ``passing_tokens`` at
+        threshold ``ft`` (1 <= ft <= n_samples), draw ``i`` cached at index
+        ``i``; the map passes the tokens, in the order, that all
+        ``n_samples`` draws would.  The draws go through ``map`` in waves
+        fixed by ``n_samples`` and ``ft`` alone: first ``n_samples - ft +
+        1``, the fewest that can decide, then half of those left, rounded
+        up, until ``_decided`` holds.  At ``ft`` 1 every draw is sent.  A
+        draw that exhausts its retries raises, like any other request,
+        rather than lowering the counts.
         """
+        if not 1 <= ft <= n_samples:
+            raise InvalidInputError(
+                f"ft must lie within [1, n_samples]; got ft={ft}, n_samples={n_samples}"
+            )
         counts: dict[str, int] = {}
 
         def one(i: int) -> str:
@@ -733,11 +762,17 @@ class ChatCompletionOracle:
                 prompt, self.sampling_params, template_name="listing", index=i
             ).text
 
-        for text in self.map(one, range(n_samples)):
-            token = text.strip()
-            if token:
-                counts[token] = counts.get(token, 0) + 1
-        return counts
+        sent, wave = 0, n_samples - ft + 1
+        while True:
+            for text in self.map(one, range(sent, sent + wave)):
+                token = text.strip()
+                if token:
+                    counts[token] = counts.get(token, 0) + 1
+            sent += wave
+            left = n_samples - sent
+            if _decided(counts, left, ft):
+                return counts
+            wave = (left + 1) // 2
 
     # -- contract ------------------------------------------------------------
 
@@ -772,13 +807,9 @@ class ChatCompletionOracle:
     def list_subconcepts(
         self, ctx: OracleContext, c: str, ft: int, n_samples: int
     ) -> list[str]:
-        if not 1 <= ft <= n_samples:
-            raise InvalidInputError(
-                f"ft must lie within [1, n_samples]; got ft={ft}, n_samples={n_samples}"
-            )
         bindings = self._bindings(ctx, c)
         base_prompt = render("listing", bindings, ctx)
-        frequencies = self.sample_first_tokens(base_prompt, n_samples)
+        frequencies = self.sample_first_tokens(base_prompt, n_samples, ft)
         tokens = passing_tokens(frequencies, ft)
 
         if not tokens:

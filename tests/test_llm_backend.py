@@ -655,7 +655,6 @@ def test_list_subconcepts_falls_back_to_a_plain_listing():
     script = [
         reply("Dairy"),
         reply("Meat"),
-        reply("Show"),
         reply("Dairy Goats, Meat Goats"),
     ]
     oracle, transport, _ = make_oracle(script)

@@ -3,7 +3,9 @@
 Each fixture is crawled through ``ChatCompletionOracle`` against a
 ``TaxonomyTransport``; the request count and a SHA-256 over the sorted
 prompts must not change when the oracle, the crawler or the test transport
-is refactored.
+is refactored.  At ``ft`` = ``n_samples`` = 5 every first-token draw is sent;
+a second pin holds goats at ``ft`` 3 of 10 draws, where sampling stops once
+the threshold has decided a listing.
 """
 
 from __future__ import annotations
@@ -41,6 +43,14 @@ PINNED_TRAFFIC = {
 }
 
 
+# Goats at ft 3 of 10: 8 draws per listing, where all 10 went out before the
+# stop rule; a change to that rule changes the pin.
+PINNED_EARLY_STOP_TRAFFIC = (
+    180,
+    "0f629d59d200577d59c465d337c09b617c7c1d4c8dd24f84ff80938de9667a93",
+)
+
+
 @pytest.mark.parametrize("max_in_flight", [1, 4])
 @pytest.mark.parametrize("name", FIXTURE_NAMES)
 def test_llm_crawl_sends_the_pinned_prompts(name, max_in_flight, crawls):
@@ -50,3 +60,13 @@ def test_llm_crawl_sends_the_pinned_prompts(name, max_in_flight, crawls):
     assert len(prompts) == crawl.transport_requests == crawl.ledger_requests
     digest = hashlib.sha256("\0".join(prompts).encode("utf-8")).hexdigest()
     assert (crawl.transport_requests, digest) == PINNED_TRAFFIC[name]
+
+
+@pytest.mark.parametrize("max_in_flight", [1, 4])
+def test_an_early_stopped_crawl_sends_the_pinned_prompts(max_in_flight, crawls):
+    # The crawls of the early-stop gate in test_draw_stop.py.
+    crawl = crawls.llm("goats", ft=3, n_samples=10, max_in_flight=max_in_flight, files=True)
+    prompts = crawl.prompts
+    assert len(prompts) == crawl.transport_requests == crawl.ledger_requests
+    digest = hashlib.sha256("\0".join(prompts).encode("utf-8")).hexdigest()
+    assert (crawl.transport_requests, digest) == PINNED_EARLY_STOP_TRAFFIC
