@@ -6,12 +6,12 @@ up to ``n_samples`` times with ``max_tokens=1`` at high temperature, and every
 first token reaching the frequency threshold spawns a full listing prompt
 forced to start with that token.  Sampling stops once the draws left cannot
 change which tokens pass, or their order, so the listing is the one that all
-``n_samples`` draws would give (a sequential test in Wald's sense).  All other
-prompts run under the configured parameters (temperature 0 by default).  One
-replay rule holds for every request: its reply is cached under the prompt, the
-parameters and an index (a draw's number, or the attempt number of a retry
-after an unparseable reply), so asking the same question again replays the
-reply instead of sending it.
+``n_samples`` draws would give (curtailed sampling: a stop once the outcome is
+certain).  All other prompts run under the configured parameters (temperature
+0 by default).  One replay rule holds for every request: its reply is cached
+under the prompt, the parameters and an index (a draw's number, or the
+attempt number of a retry after an unparseable reply), so asking the same
+question again replays the reply instead of sending it.
 """
 
 from __future__ import annotations
@@ -737,19 +737,16 @@ class ChatCompletionOracle:
             return CompletionResult(text)
         raise last_error if last_error is not None else TransportError("request failed")
 
-    def sample_first_tokens(
-        self, prompt: str, n_samples: int, ft: int = 1
-    ) -> dict[str, int]:
+    def sample_first_tokens(self, prompt: str, n_samples: int, ft: int) -> dict[str, int]:
         """Frequency map of the non-blank first completion tokens over the
         draws of ``prompt`` it takes to decide ``passing_tokens`` at
         threshold ``ft`` (1 <= ft <= n_samples), draw ``i`` cached at index
         ``i``; the map passes the tokens, in the order, that all
-        ``n_samples`` draws would.  The draws go through ``map`` in waves
-        fixed by ``n_samples`` and ``ft`` alone: first ``n_samples - ft +
-        1``, the fewest that can decide, then half of those left, rounded
-        up, until ``_decided`` holds.  At ``ft`` 1 every draw is sent.  A
-        draw that exhausts its retries raises, like any other request,
-        rather than lowering the counts.
+        ``n_samples`` draws would.  The draws go through ``map`` in at most
+        two waves: first ``n_samples - ft + 1``, the fewest that can decide,
+        then, unless ``_decided`` holds, the ``ft - 1`` left.  At ``ft`` 1
+        every draw goes in the first wave.  A draw that exhausts its retries
+        raises, like any other request, rather than lowering the counts.
         """
         if not 1 <= ft <= n_samples:
             raise InvalidInputError(
@@ -762,17 +759,17 @@ class ChatCompletionOracle:
                 prompt, self.sampling_params, template_name="listing", index=i
             ).text
 
-        sent, wave = 0, n_samples - ft + 1
-        while True:
-            for text in self.map(one, range(sent, sent + wave)):
+        def tally(indices: range) -> None:
+            for text in self.map(one, indices):
                 token = text.strip()
                 if token:
                     counts[token] = counts.get(token, 0) + 1
-            sent += wave
-            left = n_samples - sent
-            if _decided(counts, left, ft):
-                return counts
-            wave = (left + 1) // 2
+
+        first = n_samples - ft + 1
+        tally(range(first))
+        if not _decided(counts, ft - 1, ft):
+            tally(range(first, n_samples))
+        return counts
 
     # -- contract ------------------------------------------------------------
 

@@ -153,7 +153,7 @@ def test_c4_frequency_threshold_picks_tokens_from_a_seeded_distribution():
         oracle = ChatCompletionOracle(
             transport, params=CompletionParams(), max_in_flight=1
         )
-        return oracle.sample_first_tokens("List the kinds of Goats:", 100)
+        return oracle.sample_first_tokens("List the kinds of Goats:", 100, 1)
 
     counts = draw_counts()
     assert counts == {"Dairy": 40, "Meat": 30, "Fiber": 20, "Mini.": 6, "Show": 4}

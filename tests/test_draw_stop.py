@@ -1,11 +1,12 @@
 """First-token sampling stops once the threshold has decided the listing.
 
-``ChatCompletionOracle.sample_first_tokens`` sends its draws in waves fixed
-by ``n_samples`` and ``ft`` and ends as soon as ``_decided`` says the draws
-left cannot change ``passing_tokens``.  These tests check that the stop is
-exact (the listing is what all ``n_samples`` draws would give), that it is as
-early as the rule allows, and that it is the same at any ``max_in_flight``
-and through the prefetch lane's view.
+``ChatCompletionOracle.sample_first_tokens`` sends its first
+``n_samples - ft + 1`` draws and sends the ``ft - 1`` left only if
+``_decided`` says they could change ``passing_tokens``.  These tests check
+that the stop is exact (the listing is what all ``n_samples`` draws would
+give), that ``_decided`` holds exactly when the draws left cannot matter, and
+that the draws sent are the same at any ``max_in_flight`` and through the
+prefetch lane's view.
 """
 
 from __future__ import annotations
@@ -86,8 +87,7 @@ def test_an_early_stop_lists_what_every_draw_would(data):
 def test_decided_holds_for_every_completion_of_the_draws(n_samples):
     """Whenever ``_decided`` holds, every way the draws left can fall, over
     the tokens seen and one never drawn, gives the same ``passing_tokens``;
-    whenever it does not, some way gives another, so no draw is sent that
-    could be spared."""
+    whenever it does not, some way gives another."""
     seen, unseen = ("A", "B", "C"), "U"
     for ft in range(1, n_samples + 1):
         for drawn in range(n_samples + 1):
@@ -106,7 +106,7 @@ def test_decided_holds_for_every_completion_of_the_draws(n_samples):
 def test_at_threshold_one_every_draw_is_sent():
     transport = SequenceTransport(["Dairy"] * 14)
     oracle = ChatCompletionOracle(transport, ledger=CostLedger(), max_in_flight=4)
-    assert oracle.sample_first_tokens("List.", 7) == {"Dairy": 7}
+    assert oracle.sample_first_tokens("List.", 7, 1) == {"Dairy": 7}
     assert oracle.list_subconcepts(CTX, "Goats", 1, 7) == ["Dairy One", "Dairy Two"]
     assert transport.sent == 14
 
@@ -133,14 +133,13 @@ def recorded_sampling(monkeypatch) -> tuple[list[int], list[int]]:
     return waves, sent
 
 
-# Each draw sequence leaves its listing open until the last draw.
+# Each draw sequence leaves its listing open after the first wave.
 @pytest.mark.parametrize(
     "draws, ft, waves",
     [
         (["Dairy"] * 10, 1, [10]),
-        (["Meat", "Dairy"] * 5, 4, [7, 2, 1]),
-        (["Dairy"] * 10, 10, [1, 5, 2, 1, 1]),
-        (["Dairy", "Dairy", "Meat", "Meat", "Dairy"], 3, [3, 1, 1]),
+        (["Meat", "Dairy"] * 5, 4, [7, 3]),
+        (["Dairy"] * 10, 10, [1, 9]),
     ],
 )
 def test_waves_depend_on_n_samples_and_ft_alone(monkeypatch, draws, ft, waves):
@@ -154,28 +153,37 @@ def test_waves_depend_on_n_samples_and_ft_alone(monkeypatch, draws, ft, waves):
         recorded.clear()
 
 
-# 7 of 10 draws leave Meat able to reach ft 4; two more settle it short.
-DRAWS = ["Dairy", "Dairy", "Meat", "Dairy", "Dairy", "Meat", "Dairy", "Dairy", "Dairy", "Dairy"]
-
-
-def test_the_same_draws_go_out_at_any_width_and_through_the_lane(monkeypatch):
-    waves, sent = recorded_sampling(monkeypatch)
+# At ft 4 of 10, the first wave of 7 draws decides the first sequence (no
+# token but Dairy drawn) and leaves the second open (Meat at 2 can reach 4 in
+# the 3 draws left).
+@pytest.mark.parametrize(
+    "draws, counts, waves",
+    [
+        (["Dairy"] * 7 + ["Meat"] * 3, {"Dairy": 7}, [7]),
+        (["Dairy"] * 5 + ["Meat"] * 2 + ["Dairy"] * 3, {"Dairy": 8, "Meat": 2}, [7, 3]),
+    ],
+)
+def test_the_same_draws_go_out_at_any_width_and_through_the_lane(
+    monkeypatch, draws, counts, waves
+):
+    recorded, sent = recorded_sampling(monkeypatch)
+    n_sent = sum(waves)
     for max_in_flight in (1, 2, 4):
-        transport = SequenceTransport(DRAWS)
+        transport = SequenceTransport(draws)
         oracle = ChatCompletionOracle(transport, ledger=CostLedger(), max_in_flight=max_in_flight)
-        assert oracle.sample_first_tokens("List.", 10, 4) == {"Dairy": 7, "Meat": 2}
-        assert (waves, sorted(sent), transport.sent) == ([7, 2], list(range(9)), 9)
-        waves.clear()
+        assert oracle.sample_first_tokens("List.", 10, 4) == counts
+        assert (recorded, sorted(sent), transport.sent) == (waves, list(range(n_sent)), n_sent)
+        recorded.clear()
         sent.clear()
     # The lane's view samples inline and stops at the same index; the crawl
     # thread asking afterwards replays every draw and sends nothing.
-    transport = SequenceTransport(DRAWS)
+    transport = SequenceTransport(draws)
     oracle = ChatCompletionOracle(transport, ledger=CostLedger(), max_in_flight=4)
     lane = oracle.lane(threading.Event())
-    assert lane.sample_first_tokens("List.", 10, 4) == {"Dairy": 7, "Meat": 2}
-    assert (waves, sent, transport.sent) == ([7, 2], list(range(9)), 9)
-    assert oracle.sample_first_tokens("List.", 10, 4) == {"Dairy": 7, "Meat": 2}
-    assert (sent, transport.sent, oracle.ledger.requests) == (list(range(9)), 9, 9)
+    assert lane.sample_first_tokens("List.", 10, 4) == counts
+    assert (recorded, sent, transport.sent) == (waves, list(range(n_sent)), n_sent)
+    assert oracle.sample_first_tokens("List.", 10, 4) == counts
+    assert (sent, transport.sent, oracle.ledger.requests) == (list(range(n_sent)),) + (n_sent,) * 2
 
 
 # ---------------------------------------------------------------------------
@@ -235,7 +243,7 @@ def crawl_outputs(crawler, out_dir) -> dict:
 
 @pytest.mark.parametrize("max_in_flight", [1, 4])
 def test_a_failed_draw_in_any_wave_aborts_and_resumes_exactly(goats, tmp_path, max_in_flight):
-    """Goats' first listing sends 9 of its 10 draws, in waves of 8 and 1.  A
+    """Goats' first listing sends its 10 draws in waves of 8 and 2.  A
     refused draw request at each of them aborts the crawl, and the resumed
     crawl ends with the outputs of an uninterrupted one."""
     transport = SplitSeedDraws(goats)
@@ -244,9 +252,9 @@ def test_a_failed_draw_in_any_wave_aborts_and_resumes_exactly(goats, tmp_path, m
         out_dir=tmp_path / "uninterrupted",
     )
     uninterrupted.run()
-    assert transport.seed_draws == 9
+    assert transport.seed_draws == 10
     expected = crawl_outputs(uninterrupted, tmp_path / "uninterrupted")
-    for k in range(9):
+    for k in range(10):
         asked = []
 
         def fail(name, b, k=k):

@@ -430,12 +430,12 @@ def test_temperature_zero_replies_come_from_the_cache():
 
 def test_a_second_sampling_of_a_prompt_replays_its_draws():
     oracle, transport, _ = make_oracle([reply("Dairy"), reply("Meat"), reply("Dairy")])
-    first = oracle.sample_first_tokens("List.", 3)
+    first = oracle.sample_first_tokens("List.", 3, 1)
     assert first == {"Dairy": 2, "Meat": 1}
     assert len(transport.bodies) == 3
     assert transport.bodies[0]["max_tokens"] == 1
     assert transport.bodies[0]["temperature"] == 2.0
-    assert oracle.sample_first_tokens("List.", 3) == first
+    assert oracle.sample_first_tokens("List.", 3, 1) == first
     assert len(transport.bodies) == oracle.ledger.requests == 3
     # Draw i is cached at index i; draw 0 under the key that a first asking
     # of the prompt had before draws were cached.
@@ -533,7 +533,7 @@ def test_backoff_delay_is_capped(monkeypatch):
 def test_sample_first_tokens_skips_blanks_and_raises_on_a_failed_draw():
     script = [reply("Dairy"), reply("  "), reply("Dairy"), reply("Meat")]
     oracle, transport, _ = make_oracle(script)
-    assert oracle.sample_first_tokens("List.", 4) == {"Dairy": 2, "Meat": 1}
+    assert oracle.sample_first_tokens("List.", 4, 1) == {"Dairy": 2, "Meat": 1}
     assert len(transport.bodies) == 4
 
     script = [
@@ -655,6 +655,7 @@ def test_list_subconcepts_falls_back_to_a_plain_listing():
     script = [
         reply("Dairy"),
         reply("Meat"),
+        reply("Show"),
         reply("Dairy Goats, Meat Goats"),
     ]
     oracle, transport, _ = make_oracle(script)
