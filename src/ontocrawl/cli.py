@@ -34,12 +34,7 @@ from .errors import (
     OntocrawlError,
     OracleError,
 )
-from .llm_backend import (
-    ChatCompletionOracle,
-    CompletionParams,
-    CostLedger,
-    ResponseCache,
-)
+from .llm_backend import ChatCompletionOracle, CompletionParams, ResponseCache
 from .oracle import GroundTruthTaxonomy, MockOracle, QueryLog
 
 logger = logging.getLogger(__name__)
@@ -154,21 +149,14 @@ def _load_config(args: argparse.Namespace) -> CrawlConfig:
     return CrawlConfig.from_dict(merged)
 
 
-def _build_oracle(
-    config: CrawlConfig,
-    out_dir: Path,
-    query_log: QueryLog,
-    ledger: CostLedger,
-):
+def _build_oracle(config: CrawlConfig, out_dir: Path):
+    """The oracle ``config`` names; the crawler binds its ledger and query log."""
     if config.oracle.startswith("mock:"):
         fixture = config.oracle.split(":", 1)[1]
-        taxonomy = GroundTruthTaxonomy.load(fixture)
-        return MockOracle(taxonomy, query_log=query_log, ledger=ledger)
+        return MockOracle(GroundTruthTaxonomy.load(fixture))
     return ChatCompletionOracle(
         params=CompletionParams(**config.params),
         cache=ResponseCache(out_dir / "cache.jsonl"),
-        query_log=query_log,
-        ledger=ledger,
     )
 
 
@@ -212,15 +200,14 @@ def _run_crawl(config: CrawlConfig, out_dir: Path, data: Checkpoint | None = Non
     out_dir.mkdir(parents=True, exist_ok=True)
     query_log = QueryLog(out_dir / "queries.jsonl")
     try:
-        ledger = CostLedger()
-        oracle = _build_oracle(config, out_dir, query_log, ledger)
+        oracle = _build_oracle(config, out_dir)
         files = {
             "query_log": query_log,
             "checkpoint_path": out_dir / "checkpoint.json",
             "rejection_path": out_dir / "rejected.jsonl",
         }
         if data is None:
-            crawler = Crawler(config, oracle, ledger=ledger, **files)
+            crawler = Crawler(config, oracle, **files)
         else:
             crawler = Crawler.from_checkpoint(data, oracle, **files)
         try:

@@ -26,10 +26,12 @@ lane, only the ledger.
 documents, and an accepted document saves back to itself.
 
 Every exploration commits to the checkpoint.  The first commit writes the
-full snapshot (the base); each later one appends one JSON line to a journal
-beside it (``<checkpoint>.journal``) holding the after-image of every concept
-and edge the hierarchy's change set marked since the last commit (its key alone,
-under ``removed`` or ``dropped``, once it is gone) and the ``discovered_from``
+full snapshot (the base), and ``run()`` makes it before its first step, so a
+checkpoint that ``resume`` accepts exists before the first oracle call.  Each
+later commit appends one JSON line to a journal beside it
+(``<checkpoint>.journal``) holding the after-image of every concept and edge
+the hierarchy's change set marked since the last commit (its key alone, under
+``removed`` or ``dropped``, once it is gone) and the ``discovered_from``
 entries and rejections added since.  Replaying an unchanged record or removing
 an absent key is a no-op, so a commit costs what the step touched, not the size
 of the hierarchy; a synonym merge rebuilds, and so journals, every record.
@@ -203,7 +205,9 @@ def _prefetch(
 
 
 class Crawler:
-    """Drives one crawl; checkpointable after every exploration step."""
+    """Drives one crawl; checkpointable after every exploration step.  It owns
+    the run's ledger and query log: those given, else the oracle's, else a new
+    ledger and no log, and sets both on the oracle (``_bind_oracle``)."""
 
     def __init__(
         self,
@@ -218,8 +222,11 @@ class Crawler:
         config.validate()
         self.config = config
         self.oracle = oracle
-        self.query_log = query_log
+        if ledger is None:
+            ledger = getattr(oracle, "ledger", None)
         self.ledger = ledger if ledger is not None else CostLedger()
+        self.query_log = query_log if query_log is not None else getattr(oracle, "query_log", None)
+        self._bind_oracle()
         self.checkpoint_path = Path(checkpoint_path) if checkpoint_path else None
         self.rejection_path = Path(rejection_path) if rejection_path else None
         self.hierarchy = ConceptHierarchy(config.seed_name)
@@ -233,6 +240,11 @@ class Crawler:
         # The lane's oracle and thread, and the ids handed to it; only inside run().
         self._lane: tuple[KnowledgeOracle, ThreadPoolExecutor, set[int]] | None = None
         self._rewrite_rejection_file()
+
+    def _bind_oracle(self) -> None:
+        for name in ("ledger", "query_log"):
+            if hasattr(self.oracle, name):
+                setattr(self.oracle, name, getattr(self, name))
 
     # ------------------------------------------------------------------
 
@@ -282,6 +294,7 @@ class Crawler:
         The prefetch lane, if any, is stopped and joined before this returns
         or raises, so no request of this run is sent after it.
         """
+        self._commit()
         stop = threading.Event()
         lane = getattr(self.oracle, "lane", None)
         view = lane(stop) if lane is not None and self.config.max_concepts is None else None
@@ -478,15 +491,14 @@ class Crawler:
         rejection_path: str | Path | None = None,
     ) -> "Crawler":
         """The crawler that continues checkpoint ``data``: a document, or the
-        values ``parse_checkpoint`` read from one.  An oracle with a
-        ``ledger`` attribute bills the restored ledger from now on."""
+        values ``parse_checkpoint`` read from one.  It bills the restored
+        ledger, and so does the oracle."""
         checked = data if isinstance(data, Checkpoint) else parse_checkpoint(data)
         crawler = cls(
             checked.config, oracle, query_log=query_log, checkpoint_path=checkpoint_path
         )
         vars(crawler).update(vars(checked))  # every field is a crawler attribute
-        if hasattr(oracle, "ledger"):
-            oracle.ledger = crawler.ledger
+        crawler._bind_oracle()
         # Set only now, so that the rejection file is written once.
         crawler.rejection_path = Path(rejection_path) if rejection_path else None
         crawler._rewrite_rejection_file()

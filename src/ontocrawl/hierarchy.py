@@ -4,17 +4,20 @@ The persistent representation is the transitive reduction (direct edges,
 child -> parent).  The reflexive-transitive closure is derived state, kept
 incrementally up to date on every edge addition so that subsumption queries
 are O(1) set lookups.  Depth is the shortest edge distance from the seed in
-the reduction.  An edge addition recomputes depths only over the child and
-its descendants, in topological order: every edge it adds or drops has its
-lower end there.  Depths can rise as well as fall, because the new edge can
-make a shorter direct edge redundant and drop it.  One rule decides
-redundancy everywhere: an edge (u, v) is implied when another parent of u
-reaches v, since the reduction of a DAG is unique (Aho, Garey and Ullman,
-1972).  Loads and synonym merges install a whole edge set and derive its
-closure in one topological pass that refuses a cycle; a merge then drops the
-implied edges and recomputes depths.  A load takes the stored depths as they
-are and refuses the document on a cycle, an implied edge, a wrong depth or an
-empty or repeated name: the checks of ``verify_integrity`` but its closure and
+the reduction, kept by one rule: the seed is at 0, and any other concept at 1
+plus the least depth among its direct parents.  An edge addition applies it
+only over the child and its descendants, in topological order: every edge it
+adds or drops has its lower end there.  Depths can rise as well as fall,
+because the new edge can make a shorter direct edge redundant and drop it.
+One rule decides redundancy everywhere: an edge (u, v) is implied when
+another parent of u reaches v, since the reduction of a DAG is unique (Aho,
+Garey and Ullman, 1972).  Loads and synonym merges install a whole edge set
+and derive its closure in one topological pass that refuses a cycle; a merge
+then drops the implied edges and applies the depth rule over the seed and
+its descendants, every concept.  A load takes the stored depths as they are
+and refuses the document on a cycle, an implied edge, a concept other than
+the seed without a parent, a depth the rule does not give, or an empty or
+repeated name: the checks of ``verify_integrity`` but its closure and
 name-index comparisons, which on a load would compare a derivation with
 itself.  One concept may carry several names (a canonical name plus
 synonyms); name lookups are whitespace- and case-insensitive.
@@ -487,15 +490,16 @@ class ConceptHierarchy:
             raise IntegrityError("name index disagrees with the concepts' names")
 
     def _verify_records(self) -> None:
-        """Refuse an implied edge or a wrong depth, given an acyclic closure
-        derived from the current edges.  The one structural check of a load,
-        whose closure is that derivation."""
+        """Refuse an implied edge, a parentless concept other than the seed or
+        a depth the depth rule does not give, given an acyclic closure derived
+        from the current edges.  The one structural check of a load."""
         for u, v in self._edge_origin:
             if self._implied(u, v):
                 raise IntegrityError(f"direct edge {(u, v)} is implied by other edges")
-        depths = self._depths_by_bfs()
         for cid, c in self._concepts.items():
-            if depths.get(cid) != c.depth:
+            if cid != self.seed_id and not self._parents[cid]:
+                raise IntegrityError(f"concept {cid} is not below the seed")
+            if c.depth != self._depth_from_parents(cid):
                 raise IntegrityError(f"stored depth of {cid} is stale")
 
     # ------------------------------------------------------------------
@@ -568,16 +572,11 @@ class ConceptHierarchy:
         up = reach_along(order, self._parents)
         return up, reach_along(reversed(order), self._children)
 
-    def _depths_by_bfs(self) -> dict[int, int]:
-        depths = {self.seed_id: 0}
-        queue = deque([self.seed_id])
-        while queue:
-            x = queue.popleft()
-            for ch in self._children[x]:
-                if ch not in depths:
-                    depths[ch] = depths[x] + 1
-                    queue.append(ch)
-        return depths
+    def _depth_from_parents(self, cid: int) -> int:
+        """1 plus the least stored depth among the direct parents of ``cid``;
+        0 for a concept without parents, the seed."""
+        parents = self._parents[cid]
+        return 1 + min([self._concepts[p].depth for p in parents]) if parents else 0
 
     def _reset_frontier(self) -> None:
         self._frontier = [
@@ -594,7 +593,7 @@ class ConceptHierarchy:
         """
         cone = self._down[top] | {top}
         for x in topological_order(cone, self._parents, self._children):
-            depth = 1 + min(self._concepts[p].depth for p in self._parents[x])
+            depth = self._depth_from_parents(x)
             if self._concepts[x].depth != depth:
                 self._concepts[x].depth = depth
                 self._changed_ids.add(x)
@@ -621,6 +620,5 @@ class ConceptHierarchy:
         # tested before the first drop.
         for u, v in [e for e in edges if self._implied(*e)]:
             self._drop_edge(u, v)
-        for cid, depth in self._depths_by_bfs().items():
-            self._concepts[cid].depth = depth
+        self._recompute_cone_depths(self.seed_id)
         self._reset_frontier()

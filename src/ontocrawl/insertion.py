@@ -232,7 +232,7 @@ def insert(
     for d in sorted(parents & children):
         d_name = h.concept(d).canonical_name
         if _yes(oracle.interchangeable, ctx, name, d_name):
-            return _absorb(h, placement, name, description, d, children)
+            return _absorb(h, placement, name, description, d)
         try:
             sub, _sup = oracle.subcategory_direction(ctx, name, d_name)
         except OracleParseError:
@@ -286,25 +286,17 @@ def _absorb(
     name: str,
     description: str | None,
     target: int,
-    children: set[int],
 ) -> Placement:
-    """The new name denotes an existing concept: merge names, keep new edges."""
+    """The new name denotes an existing concept: merge names, add no edge."""
     if h.find_by_name(name) != target:
         h.add_synonym_name(target, name)
-    concept = h.concept(target)
-    if description and not concept.description:
+    if description and not h.concept(target).description:
         h.set_description(target, description)
     # No parent edge is needed: the bottom search found target below every
     # parent the top search found, and those parents form an antichain, so
-    # target is the only one.
-    for e in sorted(children - {target}):
-        try:
-            h.add_subsumption(e, target, origin=ORIGIN_INSERTION)
-        except CycleError as exc:
-            logger.error("dropping contradictory synonym edge: %s", exc)
-            placement.dropped_edges.append(
-                (h.concept(e).canonical_name, concept.canonical_name)
-            )
+    # target is the only one.  No child edge is either: the bottom search ran
+    # in target's cone and probed target only once every concept below it
+    # tested positive, so target is the only child it found.
     placement.synonym_of = target
     return placement
 

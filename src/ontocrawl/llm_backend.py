@@ -517,7 +517,7 @@ class ChatCompletionOracle:
     Retries transport failures with exponential backoff (bounded), caches
     every reply under ``ResponseCache.key_for(prompt, params, index)``, counts
     every successful request in the cost ledger and appends one query-log
-    record per request.
+    record per request; a crawler sets both to the run's own.
 
     At most ``max_in_flight`` requests are in flight at once, whichever
     threads send them: a semaphore is held around each send.  A key already

@@ -79,6 +79,11 @@ class KnowledgeOracle(Protocol):
     description questions of frontier concepts ahead of their steps, and
     sets the ``threading.Event`` ``stop`` when the run ends.  The oracle and
     its lane oracle must answer calls from both threads at once.
+
+    An oracle may also have ``ledger`` and ``query_log`` attributes, a
+    ``CostLedger`` it bills each answer to and a ``QueryLog`` it records each
+    one in.  A ``Crawler`` sets both to the run's own, so a library caller
+    passes each once, to the oracle or to the crawler.
     """
 
     def has_subconcepts(self, ctx: OracleContext, c: str) -> bool: ...
@@ -382,7 +387,8 @@ class MockOracle:
     Determinism: every noisy decision draws from a fresh RNG seeded by
     (rng_seed, operation, arguments), so answer streams are byte-identical
     across runs and independent of query order.  Internal counters are locked;
-    callers may probe concurrently.
+    callers may probe concurrently.  Each answer bills one request to
+    ``ledger`` and writes one record to ``query_log``, when set.
     """
 
     def __init__(

@@ -35,12 +35,7 @@ from ontocrawl import (
 from ontocrawl import crawler as crawler_mod
 from ontocrawl.crawler import CrawlStats, parse_checkpoint
 from ontocrawl.errors import TransportError
-from ontocrawl.llm_backend import (
-    CONTEXT_SENTENCE_PARENT,
-    CONTEXT_SENTENCE_SELF,
-    TEMPLATES,
-    CostLedger,
-)
+from ontocrawl.llm_backend import CONTEXT_SENTENCE_PARENT, CONTEXT_SENTENCE_SELF, TEMPLATES
 from ontocrawl.oracle import QueryLog
 
 GOATS_PATH = Path(__file__).parent / "fixtures" / "goats.json"
@@ -172,19 +167,14 @@ def make_mock_crawler(
         max_concepts=max_concepts,
         oracle=oracle_tag,
     )
-    query_log = query_log if query_log is not None else QueryLog()
-    ledger = CostLedger()
-    oracle = MockOracle(
-        taxonomy, noise, renames=renames, query_log=query_log, ledger=ledger
-    )
+    oracle = MockOracle(taxonomy, noise, renames=renames)
     if fail is not None:
         operation, error, after = fail
         oracle = RaisingOracle(oracle, operation, error, after=after)
     return Crawler(
         config,
         oracle,
-        query_log=query_log,
-        ledger=ledger,
+        query_log=query_log if query_log is not None else QueryLog(),
         checkpoint_path=checkpoint_path,
         rejection_path=rejection_path,
     )
@@ -196,14 +186,19 @@ def run_mock_crawl(taxonomy: GroundTruthTaxonomy, **kwargs) -> Crawler:
     return crawler
 
 
-def scan_next_unexplored(h: ConceptHierarchy, cutoff: int | None) -> int | None:
-    """The frontier choice by a linear scan over every concept."""
-    keys = [
+def scan_frontier(h: ConceptHierarchy, cutoff: int | None) -> list[int]:
+    """The frontier, in the order of choice, by a linear scan over every concept."""
+    keys = sorted(
         (c.depth, c.id)
         for c in h.concepts()
         if not c.explored and (cutoff is None or c.depth < cutoff)
-    ]
-    return min(keys)[1] if keys else None
+    )
+    return [cid for _, cid in keys]
+
+
+def scan_next_unexplored(h: ConceptHierarchy, cutoff: int | None) -> int | None:
+    """The frontier choice by a linear scan over every concept."""
+    return next(iter(scan_frontier(h, cutoff)), None)
 
 
 # Malformed checkpoint fields: the key path a bad value is written to, and
@@ -268,15 +263,19 @@ def edge_names(crawler_or_hierarchy) -> set[tuple[str, str]]:
 
 
 class RaisingOracle:
-    """Delegates to an inner oracle, raising on a chosen operation once the
-    first ``after`` calls of it have been answered."""
+    """Delegates to an inner oracle, attribute writes included, raising on a
+    chosen operation once the first ``after`` calls of it have been answered."""
 
     def __init__(self, inner, op_name: str, error: BaseException, *, after: int = 0):
-        self._inner = inner
-        self._op_name = op_name
-        self._error = error
-        self._after = after
-        self.calls = 0
+        vars(self).update(
+            _inner=inner, _op_name=op_name, _error=error, _after=after, calls=0
+        )
+
+    def __setattr__(self, name, value):
+        if name in vars(self):
+            vars(self)[name] = value
+        else:
+            setattr(self._inner, name, value)
 
     def __getattr__(self, name):
         attr = getattr(self._inner, name)
@@ -513,23 +512,18 @@ def llm_crawler(
     crawl_config = checked.config if checked else CrawlConfig(
         seed_name=seed_name, **{"ft": 5, "n_samples": 5, **config}
     )
-    query_log = query_log if query_log is not None else QueryLog()
     oracle = ChatCompletionOracle(
-        transport,
-        params=CompletionParams(**crawl_config.params),
-        query_log=query_log,
-        ledger=CostLedger(),
-        max_in_flight=max_in_flight,
+        transport, params=CompletionParams(**crawl_config.params), max_in_flight=max_in_flight
     )
     crawl_oracle = WithoutHooks(oracle) if hide_map else oracle
-    files = {"query_log": query_log}
+    files = {"query_log": query_log if query_log is not None else QueryLog()}
     if out_dir is not None:
         out_dir.mkdir(parents=True, exist_ok=True)
         files["checkpoint_path"] = out_dir / "checkpoint.json"
         files["rejection_path"] = out_dir / "rejected.jsonl"
     if checked is not None:
         return Crawler.from_checkpoint(checked, crawl_oracle, **files)
-    return Crawler(crawl_config, crawl_oracle, ledger=oracle.ledger, **files)
+    return Crawler(crawl_config, crawl_oracle, **files)
 
 
 def record_dialogues(patches: ExitStack, warmed: dict, looped: dict) -> None:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import os
 import random
 import time
+from contextlib import closing
 from dataclasses import dataclass
 
 import pytest
@@ -20,7 +21,6 @@ from ontocrawl import (
     ChatCompletionOracle,
     CompletionParams,
     ConceptHierarchy,
-    CostLedger,
     CrawlConfig,
     Crawler,
     GroundTruthTaxonomy,
@@ -404,22 +404,17 @@ def test_c9_live_endpoint_smoke(tmp_path):
         max_concepts=100,
         oracle="llm",
     )
+    oracle = ChatCompletionOracle(cache=ResponseCache(tmp_path / "cache.jsonl"))
     query_log = QueryLog(tmp_path / "queries.jsonl")
-    ledger = CostLedger()
-    oracle = ChatCompletionOracle(
-        cache=ResponseCache(tmp_path / "cache.jsonl"),
-        query_log=query_log,
-        ledger=ledger,
-    )
     crawler = Crawler(
         config,
         oracle,
         query_log=query_log,
-        ledger=ledger,
         checkpoint_path=tmp_path / "checkpoint.json",
         rejection_path=tmp_path / "rejected.jsonl",
     )
-    crawler.run()
+    with closing(query_log):
+        crawler.run()
     h = crawler.hierarchy
     assert 5 <= len(h) <= 100
     for cid in h.ids():

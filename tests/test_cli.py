@@ -282,6 +282,45 @@ def test_transport_failure_in_verification_exits_4_and_resumes(
     assert resumed["hierarchy"] == clean["hierarchy"]
 
 
+@pytest.mark.parametrize(
+    "op, after", [("has_subconcepts", 0), ("is_instance", 0), ("is_instance", 3)]
+)
+def test_an_interrupt_before_the_first_commit_of_a_step_resumes(
+    tmp_path, monkeypatch, finished_run, op, after
+):
+    """The base is written before the first oracle call, so an interrupt at
+    that call, or later inside the seed's step, leaves a checkpoint that
+    ``resume`` takes to the outputs of an uninterrupted run."""
+    build = cli._build_oracle
+
+    def interrupted(*args):
+        return RaisingOracle(build(*args), op, KeyboardInterrupt(), after=after)
+
+    out = tmp_path / "out"
+    monkeypatch.setattr(cli, "_build_oracle", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        main(crawl_argv(out))
+    assert read_checkpoint(out)["counters"]["explorations"] == 0
+    assert (out / "checkpoint.json.journal").exists()
+    monkeypatch.setattr(cli, "_build_oracle", build)
+    assert main(["resume", str(out / "checkpoint.json")]) == EXIT_OK
+    for name in ("hierarchy.owl", "hierarchy.dot", "stats.json", "stats.txt",
+                 "checkpoint.json", "rejected.jsonl"):
+        assert (out / name).read_bytes() == (finished_run / name).read_bytes(), name
+    assert not (out / "checkpoint.json.journal").exists()
+
+
+def test_max_concepts_flag_caps_the_crawl(tmp_path, goats):
+    out = tmp_path / "out"
+    assert main(crawl_argv(out, "--max-concepts", "5")) == EXIT_OK
+    twin = make_mock_crawler(goats, max_concepts=5, oracle_tag=f"mock:{GOATS}")
+    twin.run()
+    data = read_checkpoint(out)
+    assert data["config"]["max_concepts"] == 5
+    assert len(data["hierarchy"]["concepts"]) == 5
+    assert data == twin.to_checkpoint_dict()
+
+
 # ---------------------------------------------------------------------------
 # resume
 

@@ -16,7 +16,7 @@ from ontocrawl.errors import (
     NotFoundError,
 )
 from ontocrawl.hierarchy import topological_order
-from support import build_hierarchy, scan_next_unexplored, with_value_at
+from support import build_hierarchy, scan_frontier, scan_next_unexplored, with_value_at
 
 
 def test_new_hierarchy_contains_only_the_seed():
@@ -204,8 +204,9 @@ def test_reduction_matches_brute_force_after_random_edge_additions():
 
 
 def test_edge_additions_never_rescan_the_whole_graph(monkeypatch):
-    """A 2,000-node build keeps depths by local recomputation only; a full
-    depth BFS per edge would make every insertion O(N)."""
+    """A 2,000-node build keeps depths by local recomputation only; a depth
+    pass over the seed's cone, the whole graph, per edge would make every
+    insertion O(N)."""
     rng = random.Random(404)
     n = 2000
     edges = daggen.random_dag(rng, n)
@@ -213,13 +214,14 @@ def test_edge_additions_never_rescan_the_whole_graph(monkeypatch):
     for c, p in edges:
         parents.setdefault(c, []).append(p)
     calls = []
-    full_bfs = ConceptHierarchy._depths_by_bfs
+    recompute = ConceptHierarchy._recompute_cone_depths
 
-    def counted(self):
-        calls.append(len(self))
-        return full_bfs(self)
+    def counted(self, top):
+        if top == self.seed_id:
+            calls.append(len(self))
+        return recompute(self, top)
 
-    monkeypatch.setattr(ConceptHierarchy, "_depths_by_bfs", counted)
+    monkeypatch.setattr(ConceptHierarchy, "_recompute_cone_depths", counted)
     h = ConceptHierarchy(daggen.name_for(0))
     for i in range(1, n):
         first, *rest = sorted(parents[i])
@@ -336,9 +338,12 @@ def test_next_unexplored_respects_depth_cutoff():
     h = ConceptHierarchy("Seed")
     h.mark_explored(h.seed_id)
     a = h.add_concept("A", [h.seed_id])
-    h.add_concept("Deep", [a])
+    deep = h.add_concept("Deep", [a])
     assert h.next_unexplored(exploration_depth=1) is None
     assert h.next_unexplored(exploration_depth=2) == a
+    assert list(h.frontier(1)) == []
+    assert list(h.frontier(2)) == [a]
+    assert list(h.frontier(3)) == list(h.frontier()) == [a, deep]
 
 
 @settings(max_examples=150, deadline=None)
@@ -366,6 +371,7 @@ def test_frontier_heap_matches_a_linear_scan_under_any_mutation(data):
             pass
         for cutoff in (None, 1, 2, 3):
             assert h.next_unexplored(cutoff) == scan_next_unexplored(h, cutoff)
+            assert list(h.frontier(cutoff)) == scan_frontier(h, cutoff)
 
 
 def test_edge_origin_bookkeeping():
@@ -473,6 +479,23 @@ def test_from_json_rejects_malformed_documents():
     with pytest.raises(CheckpointError):
         ConceptHierarchy.from_json_dict(orphan)
 
+    # Well-formed records the seed does not reach: a parentless concept, and
+    # one below it, at every depth.
+    for depth in (0, 1, 2, 3):
+        island = copy.deepcopy(good)
+        island["concepts"] += [
+            {**good["concepts"][2], "id": 3, "canonical_name": "C", "depth": depth},
+            {**good["concepts"][2], "id": 4, "canonical_name": "D", "depth": depth + 1},
+        ]
+        island["direct_edges"].append([4, 3])
+        with pytest.raises(CheckpointError, match="concept 3 is not below the seed"):
+            ConceptHierarchy.from_json_dict(island)
+    for cid, depth in ((a, 2), (b, 1), (b, 3), (0, 1)):
+        stale = copy.deepcopy(good)
+        stale["concepts"][cid]["depth"] = depth
+        with pytest.raises(CheckpointError, match=f"stored depth of {cid} is stale"):
+            ConceptHierarchy.from_json_dict(stale)
+
     # Values that do not save back as they are stored.
     for path, value in (
         (("seed",), False),
@@ -493,11 +516,13 @@ def test_from_json_rejects_malformed_documents():
 
 def test_a_load_checks_each_stored_edge_once(monkeypatch):
     """A load derives the closure once and makes one structural check: one
-    redundancy test per stored edge and one depth pass."""
+    redundancy test per stored edge and one depth test per concept.  It
+    recomputes no depth."""
     rng = random.Random(11)
     n = 150
     doc = build_hierarchy(daggen.random_dag(rng, n), n).to_json_dict()
-    calls = {"_closure": 0, "_implied": 0, "_depths_by_bfs": 0}
+    names = ("_closure", "_implied", "_depth_from_parents", "_recompute_cone_depths")
+    calls = dict.fromkeys(names, 0)
     for name in calls:
         original = getattr(ConceptHierarchy, name)
 
@@ -510,7 +535,8 @@ def test_a_load_checks_each_stored_edge_once(monkeypatch):
     assert calls == {
         "_closure": 1,
         "_implied": len(doc["direct_edges"]),
-        "_depths_by_bfs": 1,
+        "_depth_from_parents": n,
+        "_recompute_cone_depths": 0,
     }
 
 

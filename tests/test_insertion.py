@@ -17,6 +17,7 @@ from ontocrawl import (
     OracleContext,
     QueryLog,
     insert,
+    insertion,
     record_rediscovery,
 )
 from ontocrawl.errors import OracleParseError
@@ -207,6 +208,71 @@ def test_unparseable_direction_keeps_the_top_edge():
     assert placement.children == set()
     assert placement.dropped_edges == [("Mid", "New")]
     assert edge_names(h) == {("Mid", "Root"), ("New", "Mid")}
+
+
+def test_a_fallback_to_the_entry_drops_its_contradictory_child_edge():
+    """The entry tests below the newcomer, and the direction answer agrees,
+    which empties ``parents``; the discovering edge is kept, so the edge of
+    the entry below the newcomer would close a cycle and is dropped."""
+    h, mid, probes, ctx = contradictory_setup()
+    oracle = ScriptedOracle(probes, direction=("Mid", "New"))
+    placement = insert(h, oracle, ctx, "New", None, mid)
+    assert placement.parents == {mid}
+    assert placement.children == set()
+    assert placement.dropped_edges == [("New", "Mid"), ("Mid", "New")]
+    assert edge_names(h) == {("Mid", "Root"), ("New", "Mid")}
+    assert h.edge_origin(placement.concept_id, mid) == ORIGIN_LISTING
+    h.verify_integrity()
+
+
+class CoinOracle:
+    """Answers each question by a seeded coin, the same way every time."""
+
+    def __init__(self, rng: random.Random):
+        self.rng = rng
+        self.answers: dict[tuple, bool] = {}
+
+    def _coin(self, *question) -> bool:
+        return self.answers.setdefault(question, self.rng.random() < 0.6)
+
+    def is_subcategory_of(self, ctx, d, c):
+        return self._coin("sub", d, c)
+
+    def interchangeable(self, ctx, d1, d2):
+        return self._coin("same", d1, d2)
+
+    def subcategory_direction(self, ctx, d1, d2):
+        return (d1, d2) if self._coin("direction", d1, d2) else (d2, d1)
+
+
+def test_a_concept_found_on_both_sides_is_the_only_one_found_below(monkeypatch):
+    """An absorbed name adds no edge.  The bottom search probes a concept
+    only once every concept below it tested positive, so a concept it finds
+    that the top search found too is the only one it finds: nothing is left
+    to wire below the absorbing concept, whatever the answers."""
+    found = []
+    bottom = insertion.bottom_search
+
+    def recorded(*args):
+        found.append(set(bottom(*args)))
+        return found[-1]
+
+    monkeypatch.setattr(insertion, "bottom_search", recorded)
+    absorbed = 0
+    for trial in range(2000):
+        rng = random.Random(trial)
+        h = ConceptHierarchy("Root")
+        for i in range(1, rng.randint(2, 8)):
+            h.add_concept(f"C{i}", rng.sample(range(i), rng.randint(1, min(2, i))))
+        before = h.direct_edges()
+        entry = rng.choice(h.ids())
+        placement = insert(h, CoinOracle(rng), OracleContext("Root"), "New", None, entry)
+        h.verify_integrity()
+        if placement.synonym_of is not None:
+            absorbed += 1
+            assert found[-1] == {placement.synonym_of}
+            assert h.direct_edges() == before
+    assert absorbed > 100
 
 
 def test_rediscovery_of_the_listing_concept_itself(goats):
