@@ -196,11 +196,12 @@ def _cmd_resume(args: argparse.Namespace) -> int:
 
 
 def _run_crawl(config: CrawlConfig, out_dir: Path, data: Checkpoint | None = None) -> int:
-    """Crawl into ``out_dir``: from the seed, or on from checkpoint ``data``."""
+    """Crawl into ``out_dir``: from the seed, or on from checkpoint ``data``.
+    The oracle is built first, so a crawl that cannot start changes no file."""
+    oracle = _build_oracle(config, out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     query_log = QueryLog(out_dir / "queries.jsonl")
     try:
-        oracle = _build_oracle(config, out_dir)
         files = {
             "query_log": query_log,
             "checkpoint_path": out_dir / "checkpoint.json",

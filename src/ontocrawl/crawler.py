@@ -37,7 +37,10 @@ an absent key is a no-op, so a commit costs what the step touched, not the size
 of the hierarchy; a synonym merge rebuilds, and so journals, every record.
 ``run()`` compacts the journal into the snapshot when it ends, so the journal
 exists only mid-run; ``load_checkpoint`` replays a journal left behind by an
-interrupted run onto its base.
+interrupted run onto its base.  A commit then writes the rejection file,
+whole at the base and after that the rejections its journal line carries, so
+the file never runs ahead of the checkpoint; constructing a crawler writes
+nothing.
 """
 
 from __future__ import annotations
@@ -239,7 +242,6 @@ class Crawler:
         self._committed_counts: tuple[int, int] | None = None
         # The lane's oracle and thread, and the ids handed to it; only inside run().
         self._lane: tuple[KnowledgeOracle, ThreadPoolExecutor, set[int]] | None = None
-        self._rewrite_rejection_file()
 
     def _bind_oracle(self) -> None:
         for name in ("ledger", "query_log"):
@@ -389,16 +391,6 @@ class Crawler:
             "transcript": [[step, answer] for step, answer in verdict.transcript],
         }
         self.rejections.append(record)
-        if self.rejection_path is not None:
-            with self.rejection_path.open("a", encoding="utf-8") as fh:
-                fh.write(_jsonl(record))
-
-    def _rewrite_rejection_file(self) -> None:
-        if self.rejection_path is not None:
-            self.rejection_path.parent.mkdir(parents=True, exist_ok=True)
-            self.rejection_path.write_text(
-                "".join(_jsonl(r) for r in self.rejections), encoding="utf-8"
-            )
 
     # ------------------------------------------------------------------
     # checkpointing
@@ -433,22 +425,31 @@ class Crawler:
 
     def _commit(self) -> None:
         """Persist the current state: the base on the first commit, a journal
-        line after that.  Without a checkpoint there is nothing to persist,
-        but the change set is still drained so that it stays as small as one
-        step's changes."""
+        line after that, and then the rejection file, whole at the base and
+        its new tail after that, so that it never runs ahead of the
+        checkpoint.  Without a checkpoint the change set is still drained so
+        that it stays as small as one step's changes."""
+        base = self._committed_counts is None
         if self.checkpoint_path is None:
             self.hierarchy.take_changes()
-            return
-        journal = journal_path(self.checkpoint_path)
-        if self._committed_counts is None:
+        elif base:
             data = self.to_checkpoint_dict()
             self.hierarchy.take_changes()  # the base holds them all
             digest = save_checkpoint(data, self.checkpoint_path)
-            with journal.open("w", encoding="utf-8") as fh:
+            with journal_path(self.checkpoint_path).open("w", encoding="utf-8") as fh:
                 fh.write(_jsonl({"base": digest}))
         else:
-            with journal.open("a", encoding="utf-8") as fh:
+            with journal_path(self.checkpoint_path).open("a", encoding="utf-8") as fh:
                 fh.write(_jsonl(self._journal_line()))
+        if self.rejection_path is not None:
+            if base:
+                self.rejection_path.parent.mkdir(parents=True, exist_ok=True)
+                self.rejection_path.write_text(
+                    "".join(map(_jsonl, self.rejections)), encoding="utf-8"
+                )
+            elif tail := self.rejections[self._committed_counts[1]:]:
+                with self.rejection_path.open("a", encoding="utf-8") as fh:
+                    fh.write("".join(map(_jsonl, tail)))
         self._committed_counts = (len(self.discovered_from), len(self.rejections))
 
     def _journal_line(self) -> dict:
@@ -474,11 +475,11 @@ class Crawler:
 
     def _compact(self) -> None:
         """Fold the journal into one full snapshot and remove it."""
+        self._committed_counts = None
         if self.checkpoint_path is None:
             return
         save_checkpoint(self.to_checkpoint_dict(), self.checkpoint_path)
         journal_path(self.checkpoint_path).unlink(missing_ok=True)
-        self._committed_counts = None
 
     @classmethod
     def from_checkpoint(
@@ -495,13 +496,14 @@ class Crawler:
         ledger, and so does the oracle."""
         checked = data if isinstance(data, Checkpoint) else parse_checkpoint(data)
         crawler = cls(
-            checked.config, oracle, query_log=query_log, checkpoint_path=checkpoint_path
+            checked.config,
+            oracle,
+            query_log=query_log,
+            checkpoint_path=checkpoint_path,
+            rejection_path=rejection_path,
         )
         vars(crawler).update(vars(checked))  # every field is a crawler attribute
         crawler._bind_oracle()
-        # Set only now, so that the rejection file is written once.
-        crawler.rejection_path = Path(rejection_path) if rejection_path else None
-        crawler._rewrite_rejection_file()
         return crawler
 
 

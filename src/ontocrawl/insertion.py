@@ -18,9 +18,10 @@ decrements the counts of the candidates it unlocks, and a candidate whose
 count reaches zero joins the next round; below a negative answer no count
 ever reaches zero, which is the pruning.  So a round holds every probe whose
 needs are met, one traversal level of the whole search, and none of its
-probes depends on another's answer.  Each round is issued as one batch: an
-oracle with ``map`` may send its questions concurrently, any other oracle
-answers them one by one in id order.  The answers are applied in
+probes depends on another's answer.  Each round is one call of the search's
+probe function, which ``insert`` builds over the oracle and which counts the
+probes: an oracle with ``map`` may send its questions concurrently, any other
+oracle answers them one by one in id order.  The answers are applied in
 id order on the calling thread, which alone reads and mutates the hierarchy.
 The query-log records of each search carry its phase, set with
 ``oracle.tagged``, so ``insert`` needs no handle on the log.
@@ -63,45 +64,12 @@ def _yes(ask, *args) -> bool:
         return False
 
 
-class _ProbeSession:
-    """Counts probes and asks them about the new concept ``name``.
-
-    ``probe_up`` and ``probe_down`` take a batch of concept ids and return
-    their answers in the same order.  Every probe shares one context, whose
-    ``known`` reads the probed concept's description from the hierarchy.
-    """
-
-    def __init__(
-        self,
-        h: ConceptHierarchy,
-        oracle: KnowledgeOracle,
-        ctx: OracleContext,
-        name: str,
-    ):
-        self.h = h
-        self.oracle = oracle
-        self.ctx = ctx
-        self.name = name
-        self.issued = 0
-
-    def _probed(self, cids: list[int]) -> list[str]:
-        """Count the probes of ``cids`` and return their names."""
-        self.issued += len(cids)
-        return [self.h._concepts[cid].canonical_name for cid in cids]
-
-    def _ask(self, questions: list[tuple[OracleContext, str, str]]) -> list[bool]:
-        oracle = self.oracle
-        if hasattr(oracle, "map"):
-            return oracle.map(lambda q: _yes(oracle.is_subcategory_of, *q), questions)
-        return [_yes(oracle.is_subcategory_of, *q) for q in questions]
-
-    def probe_up(self, cids: list[int]) -> list[bool]:
-        """Does each existing concept in ``cids`` subsume the new one?"""
-        return self._ask([(self.ctx, self.name, o) for o in self._probed(cids)])
-
-    def probe_down(self, cids: list[int]) -> list[bool]:
-        """Is each existing concept in ``cids`` below the new one?"""
-        return self._ask([(self.ctx, o, self.name) for o in self._probed(cids)])
+def _ask(oracle: KnowledgeOracle, questions: list[tuple]) -> list[bool]:
+    """Answer each ``is_subcategory_of`` question, through ``map`` if the
+    oracle has it, else one by one in order."""
+    if hasattr(oracle, "map"):
+        return oracle.map(lambda q: _yes(oracle.is_subcategory_of, *q), questions)
+    return [_yes(oracle.is_subcategory_of, *q) for q in questions]
 
 
 # The searches read the hierarchy's adjacency sets directly rather than
@@ -154,18 +122,19 @@ def _probe_rounds(
 
 def top_search(
     h: ConceptHierarchy,
-    session: _ProbeSession,
+    probe,
     entry: int,
 ) -> set[int]:
     """Most specific existing concepts subsuming the new one.
 
-    The seed, the discovering concept and all of its superconcepts are taken
-    as subsumers without a query.
+    ``probe(cids)`` answers, in order, whether each concept in ``cids``
+    subsumes the new one.  The seed, the discovering concept and all of its
+    superconcepts are taken as subsumers without a query.
     """
     status: dict[int, bool] = {h.seed_id: True, entry: True}
     for a in h.ancestors(entry):
         status[a] = True
-    _probe_rounds(status, [], session.probe_up, h._parents, h._children, h._concepts)
+    _probe_rounds(status, [], probe, h._parents, h._children, h._concepts)
     return {
         x
         for x, pos in status.items()
@@ -175,16 +144,18 @@ def top_search(
 
 def bottom_search(
     h: ConceptHierarchy,
-    session: _ProbeSession,
+    probe,
     parents: set[int],
 ) -> set[int]:
     """Most general existing concepts below the new one.
 
-    Candidates are confined to the reflexive descendants of every found
-    parent (anything else would contradict an accepted superconcept); the
-    seed is never a candidate.  A concept is probed only once all of its
-    direct children tested positive, mirroring the top search.  The region
-    is closed downward, so no probe ever depends on a concept outside it.
+    ``probe(cids)`` answers, in order, whether each concept in ``cids`` is
+    below the new one.  Candidates are confined to the reflexive descendants
+    of every found parent (anything else would contradict an accepted
+    superconcept); the seed is never a candidate.  A concept is probed only
+    once all of its direct children tested positive, mirroring the top
+    search.  The region is closed downward, so no probe ever depends on a
+    concept outside it.
     """
     region: set[int] | None = None
     for p in parents:
@@ -196,7 +167,7 @@ def bottom_search(
 
     status: dict[int, bool] = {}
     leaves = [x for x in region if not h._children[x]]
-    _probe_rounds(status, leaves, session.probe_down, h._children, h._parents, region)
+    _probe_rounds(status, leaves, probe, h._children, h._parents, region)
     return {
         x
         for x, pos in status.items()
@@ -221,13 +192,22 @@ def insert(
     number of probes issued.
     """
     ctx = replace(ctx, known=h.description_of)
-    session = _ProbeSession(h, oracle, ctx, name)
-    with tagged(phase="top"):
-        parents = top_search(h, session, entry)
-    with tagged(phase="bottom"):
-        children = bottom_search(h, session, parents)
+    placement = Placement()
 
-    placement = Placement(probes_issued=session.issued)
+    def probed(cids: list[int]) -> list[str]:
+        placement.probes_issued += len(cids)
+        return [h._concepts[cid].canonical_name for cid in cids]
+
+    def probe_up(cids: list[int]) -> list[bool]:
+        return _ask(oracle, [(ctx, name, o) for o in probed(cids)])
+
+    def probe_down(cids: list[int]) -> list[bool]:
+        return _ask(oracle, [(ctx, o, name) for o in probed(cids)])
+
+    with tagged(phase="top"):
+        parents = top_search(h, probe_up, entry)
+    with tagged(phase="bottom"):
+        children = bottom_search(h, probe_down, parents)
 
     for d in sorted(parents & children):
         d_name = h.concept(d).canonical_name

@@ -481,13 +481,13 @@ def recording_rounds():
     """A list that, while open, gets the ``(d, c)`` pairs of each round of
     insertion probes, as ``insertion`` hands it to the oracle."""
     rounds: list[list[tuple[str, str]]] = []
-    ask = insertion._ProbeSession._ask
+    ask = insertion._ask
 
-    def recorded(session, questions):
+    def recorded(oracle, questions):
         rounds.append([(d, c) for _ctx, d, c in questions])
-        return ask(session, questions)
+        return ask(oracle, questions)
 
-    with patch.object(insertion._ProbeSession, "_ask", recorded):
+    with patch.object(insertion, "_ask", recorded):
         yield rounds
 
 

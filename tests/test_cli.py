@@ -260,6 +260,25 @@ def test_a_torn_last_cache_line_is_cut_off(tmp_path, monkeypatch, capsys):
     assert cache.read_text(encoding="utf-8") == CACHED_REPLY
 
 
+@pytest.mark.parametrize("broken", ["missing fixture", "malformed cache"])
+def test_a_crawl_that_cannot_start_changes_no_file(
+    broken, tmp_path, finished_run, monkeypatch, capsys
+):
+    out = tmp_path / "out"
+    shutil.copytree(finished_run, out)
+    if broken == "missing fixture":
+        argv = crawl_argv(out, "--oracle", f"mock:{tmp_path / 'missing.json'}")
+    else:
+        (out / "cache.jsonl").write_text(CACHED_REPLY + "[1]\n", encoding="utf-8")
+        monkeypatch.delenv("OPENAI_API_KEY", raising=False)
+        argv = crawl_argv(out, "--oracle", "llm")
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert before["queries.jsonl"]
+    assert main(argv) == EXIT_CONFIG
+    assert "configuration error:" in capsys.readouterr().err
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+
 @pytest.mark.parametrize("op", ["is_instance", "is_part", "under_seed"])
 def test_transport_failure_in_verification_exits_4_and_resumes(
     tmp_path, monkeypatch, finished_run, op
@@ -442,6 +461,18 @@ def test_stats_command_matches_the_stats_file(finished_run, capsys):
     assert out == (finished_run / "stats.txt").read_text(encoding="utf-8")
     # Insertion-origin edges survive the checkpoint round trip.
     assert out.splitlines()[1].split()[6] == "1"
+
+
+def test_an_unexportable_name_exits_3_and_writes_no_file(tmp_path, finished_run, capsys):
+    data = read_checkpoint(finished_run)
+    data["hierarchy"]["concepts"][-1]["canonical_name"] += "\x01"
+    bad = tmp_path / "checkpoint.json"
+    bad.write_text(json.dumps(data), encoding="utf-8")
+    target = tmp_path / "out.owl"
+    assert main(["export", str(bad), "--format", "owl", "-o", str(target)]) == EXIT_ORACLE
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("error: ") and "XML cannot carry" in line
+    assert not target.exists()
 
 
 def test_validate_fixture_accepts_the_reference_taxonomy(capsys):

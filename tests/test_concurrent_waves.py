@@ -10,7 +10,6 @@ import pytest
 
 from ontocrawl import (
     ChatCompletionOracle,
-    CostLedger,
     OracleContext,
     QueryLog,
     llm_backend,
@@ -86,7 +85,7 @@ def test_a_wide_batch_loses_no_answer_or_count(goats):
 
     transport, log = TaxonomyTransport(goats), QueryLog()
     oracle = ChatCompletionOracle(
-        transport, query_log=log, ledger=CostLedger(), max_in_flight=8
+        transport, query_log=log, max_in_flight=8
     )
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)

@@ -711,6 +711,21 @@ def test_checkpoint_loader_file_errors(tmp_path):
         load_checkpoint(garbled)
 
 
+def test_a_failed_checkpoint_save_keeps_the_previous_one(goats, tmp_path, monkeypatch):
+    path = tmp_path / "run.json"
+    save_checkpoint(run_mock_crawl(goats).to_checkpoint_dict(), path)
+    before = path.read_bytes()
+
+    def refuse(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(crawler_mod.os, "replace", refuse)
+    with pytest.raises(OSError, match="disk full"):
+        save_checkpoint({"version": 1}, path)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["run.json"]
+
+
 # ---------------------------------------------------------------------------
 # aborts
 
@@ -762,25 +777,66 @@ def test_resume_keeps_the_rejections_of_the_aborted_run(goats, tmp_path):
 
 
 def test_resume_writes_the_rejection_file_once(goats, tmp_path, monkeypatch):
-    crawler = make_mock_crawler(goats, noise=NOISY, checkpoint_path=tmp_path / "run.json")
+    """Constructing the resumed crawler writes nothing; its ``run()`` writes
+    the file whole once, at its first commit, and after that only appends."""
+    path, rej_path = tmp_path / "run.json", tmp_path / "rejected.jsonl"
+    crawler = make_mock_crawler(goats, noise=NOISY, checkpoint_path=path)
     for _ in range(4):
         crawler.step()
     assert crawler.rejections
-    rej_path = tmp_path / "rejected.jsonl"
+    resumed = resume(goats, path, NOISY, rejection_path=rej_path)
+    assert not rej_path.exists()
     writes = []
-    write_text = Path.write_text
+    write_text, open_ = Path.write_text, Path.open
 
-    def recording(path, *args, **kwargs):
-        writes.append(path)
-        return write_text(path, *args, **kwargs)
+    def recording_write(path, text, *args, **kwargs):
+        if path == rej_path:
+            writes.append(("w", [json.loads(line) for line in text.splitlines()]))
+        return write_text(path, text, *args, **kwargs)
 
-    monkeypatch.setattr(Path, "write_text", recording)
-    Crawler.from_checkpoint(
-        load_checkpoint(tmp_path / "run.json"), MockOracle(goats), rejection_path=rej_path
-    )
-    assert writes == [rej_path]
+    def recording_open(path, mode="r", *args, **kwargs):
+        if path == rej_path and mode != "w":  # write_text opens with "w"
+            writes.append((mode, None))
+        return open_(path, mode, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "write_text", recording_write)
+    monkeypatch.setattr(Path, "open", recording_open)
+    resumed.run()
+    assert len(resumed.rejections) > len(crawler.rejections)
+    assert writes[0] == ("w", crawler.rejections)
+    assert [mode for mode, _ in writes[1:]] == ["a"] * (len(writes) - 1) != []
     lines = rej_path.read_text(encoding="utf-8").splitlines()
-    assert [json.loads(line) for line in lines] == crawler.rejections
+    assert [json.loads(line) for line in lines] == resumed.rejections
+
+
+def test_an_interrupt_leaves_no_rejection_the_checkpoint_lacks(tmp_path):
+    """The rejection of ``Yale University`` comes before the interrupt but in
+    the step it cuts short, so neither the checkpoint nor the file has it."""
+    unis = GroundTruthTaxonomy.from_json_dict(
+        {
+            "root": "Universities",
+            "edges": [["Yale University", "Universities"], ["Public Universities", "Universities"]],
+            "instances": {"Universities": ["Yale University"]},
+        }
+    )
+    path, rej_path = tmp_path / "run.json", tmp_path / "rejected.jsonl"
+    crawler = make_mock_crawler(
+        unis,
+        checkpoint_path=path,
+        rejection_path=rej_path,
+        fail=("is_instance", KeyboardInterrupt(), 1),
+    )
+    with pytest.raises(KeyboardInterrupt):
+        crawler.run()
+    assert [r["name"] for r in crawler.rejections] == ["Yale University"]
+    assert load_checkpoint(path)["rejections"] == []
+    assert rej_path.read_text(encoding="utf-8") == ""
+
+    resumed = resume(unis, path, rejection_path=rej_path)
+    resumed.run()
+    lines = rej_path.read_text(encoding="utf-8").splitlines()
+    assert [json.loads(line) for line in lines] == resumed.rejections
+    assert [r["name"] for r in resumed.rejections] == ["Yale University"]
 
 
 def test_step_propagates_the_transport_error(goats, tmp_path):

@@ -20,7 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ontocrawl import ChatCompletionOracle, CostLedger, OracleContext, cli, export
+from ontocrawl import ChatCompletionOracle, OracleContext, cli, export
 from ontocrawl.crawler import load_checkpoint, parse_checkpoint
 from ontocrawl.errors import CrawlAbortedError
 from ontocrawl.llm_backend import _decided, passing_tokens
@@ -78,7 +78,7 @@ def test_an_early_stop_lists_what_every_draw_would(data):
         label="draws",
     )
     transport = SequenceTransport(draws)
-    oracle = ChatCompletionOracle(transport, ledger=CostLedger(), max_in_flight=1)
+    oracle = ChatCompletionOracle(transport, max_in_flight=1)
     assert oracle.list_subconcepts(CTX, "Goats", ft, n_samples) == full_listing(draws, ft)
     assert transport.sent <= n_samples
 
@@ -105,7 +105,7 @@ def test_decided_holds_for_every_completion_of_the_draws(n_samples):
 
 def test_at_threshold_one_every_draw_is_sent():
     transport = SequenceTransport(["Dairy"] * 14)
-    oracle = ChatCompletionOracle(transport, ledger=CostLedger(), max_in_flight=4)
+    oracle = ChatCompletionOracle(transport, max_in_flight=4)
     assert oracle.sample_first_tokens("List.", 7, 1) == {"Dairy": 7}
     assert oracle.list_subconcepts(CTX, "Goats", 1, 7) == ["Dairy One", "Dairy Two"]
     assert transport.sent == 14
@@ -146,7 +146,7 @@ def test_waves_depend_on_n_samples_and_ft_alone(monkeypatch, draws, ft, waves):
     recorded, _ = recorded_sampling(monkeypatch)
     for max_in_flight in (1, 2, 4):
         oracle = ChatCompletionOracle(
-            SequenceTransport(draws), ledger=CostLedger(), max_in_flight=max_in_flight
+            SequenceTransport(draws), max_in_flight=max_in_flight
         )
         oracle.sample_first_tokens("List.", len(draws), ft)
         assert recorded == waves, max_in_flight
@@ -170,7 +170,7 @@ def test_the_same_draws_go_out_at_any_width_and_through_the_lane(
     n_sent = sum(waves)
     for max_in_flight in (1, 2, 4):
         transport = SequenceTransport(draws)
-        oracle = ChatCompletionOracle(transport, ledger=CostLedger(), max_in_flight=max_in_flight)
+        oracle = ChatCompletionOracle(transport, max_in_flight=max_in_flight)
         assert oracle.sample_first_tokens("List.", 10, 4) == counts
         assert (recorded, sorted(sent), transport.sent) == (waves, list(range(n_sent)), n_sent)
         recorded.clear()
@@ -178,7 +178,7 @@ def test_the_same_draws_go_out_at_any_width_and_through_the_lane(
     # The lane's view samples inline and stops at the same index; the crawl
     # thread asking afterwards replays every draw and sends nothing.
     transport = SequenceTransport(draws)
-    oracle = ChatCompletionOracle(transport, ledger=CostLedger(), max_in_flight=4)
+    oracle = ChatCompletionOracle(transport, max_in_flight=4)
     lane = oracle.lane(threading.Event())
     assert lane.sample_first_tokens("List.", 10, 4) == counts
     assert (recorded, sent, transport.sent) == (waves, list(range(n_sent)), n_sent)

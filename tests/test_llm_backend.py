@@ -410,7 +410,6 @@ def make_oracle(script, **kwargs):
     sleeps: list[float] = []
     oracle = ChatCompletionOracle(
         transport,
-        ledger=CostLedger(),
         max_in_flight=1,
         sleep=sleeps.append,
         **kwargs,

@@ -21,7 +21,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
-from ontocrawl import ChatCompletionOracle, CostLedger, OracleContext, QueryLog
+from ontocrawl import ChatCompletionOracle, OracleContext, QueryLog
 from ontocrawl import crawler as crawler_mod
 from ontocrawl.errors import CrawlAbortedError, TransportError
 from support import LANE, StubTransport, TaxonomyTransport, llm_crawler, on_lane, outcome, reply
@@ -79,7 +79,7 @@ class GatedTransport:
 def ask_twice_at_once(transport: GatedTransport) -> tuple[ChatCompletionOracle, QueryLog, dict]:
     """Two threads ask one prompt, the second while the first is sending it."""
     log = QueryLog()
-    oracle = ChatCompletionOracle(transport, query_log=log, ledger=CostLedger(), max_in_flight=2)
+    oracle = ChatCompletionOracle(transport, query_log=log, max_in_flight=2)
     results: dict = {}
 
     def ask(who: str) -> None:
@@ -136,7 +136,7 @@ def test_many_askers_of_few_keys_send_each_once():
     """More askers than cores, switching threads as often as possible: each
     key is sent once, billed once, and every asker gets its reply."""
     transport = EchoTransport()
-    oracle = ChatCompletionOracle(transport, ledger=CostLedger(), max_in_flight=3)
+    oracle = ChatCompletionOracle(transport, max_in_flight=3)
     prompts = [f"Prompt {i}?" for i in range(20)]
     got: dict[int, list[str]] = {}
 
@@ -168,7 +168,7 @@ def test_a_lane_request_is_tried_once_and_the_step_retries_it():
     transport = StubTransport([failure, failure, reply("Yes")])
     sleeps: list[float] = []
     oracle = ChatCompletionOracle(
-        transport, ledger=CostLedger(), max_in_flight=2, sleep=sleeps.append
+        transport, max_in_flight=2, sleep=sleeps.append
     )
     with pytest.raises(TransportError):
         oracle.lane(threading.Event()).complete("Is it?")
@@ -180,7 +180,7 @@ def test_a_lane_request_is_tried_once_and_the_step_retries_it():
 
 def test_a_reply_cached_through_the_lane_is_a_hit_for_the_oracle():
     transport = StubTransport([reply("Yes")])
-    oracle = ChatCompletionOracle(transport, ledger=CostLedger(), max_in_flight=2)
+    oracle = ChatCompletionOracle(transport, max_in_flight=2)
     assert not oracle.lane(threading.Event()).complete("Is it?").cached
     assert oracle.complete("Is it?").cached
     assert len(transport.bodies) == oracle.ledger.requests == 1

@@ -166,7 +166,7 @@ def test_rounds_probe_what_the_reference_probes_in_no_more_rounds(case):
 
     ref, new = ScriptedSession(up, down), ScriptedSession(up, down)
     parents = reference_top_search(h, ref, entry)
-    assert top_search(h, new, entry) == parents
+    assert top_search(h, new.probe_up, entry) == parents
     assert new.probed() == ref.probed()
     assert len(new.batches) <= len(ref.batches)
     known = {h.seed_id, entry} | h.ancestors(entry)
@@ -176,7 +176,7 @@ def test_rounds_probe_what_the_reference_probes_in_no_more_rounds(case):
     for above in (parents, drawn_parents):
         ref, new = ScriptedSession(up, down), ScriptedSession(up, down)
         children = reference_bottom_search(h, ref, above)
-        assert bottom_search(h, new, above) == children
+        assert bottom_search(h, new.probe_down, above) == children
         assert new.probed() == ref.probed()
         assert len(new.batches) <= len(ref.batches)
         region = set.intersection(*(h.descendants(p) | {p} for p in above))
@@ -224,8 +224,8 @@ def test_searches_read_each_adjacency_set_a_bounded_number_of_times():
         session = ScriptedSession(up=above, down=below)
         for adjacency in (h._parents, h._children):
             adjacency.reads.clear()
-        assert top_search(h, session, h.seed_id) == {target}
-        assert bottom_search(h, session, {h.seed_id}) == {target}
+        assert top_search(h, session.probe_up, h.seed_id) == {target}
+        assert bottom_search(h, session.probe_down, {h.seed_id}) == {target}
         assert len(session.batches) > 5
         worst = max(worst, *h._parents.reads.values(), *h._children.reads.values())
     assert worst <= 4

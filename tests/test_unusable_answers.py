@@ -9,7 +9,7 @@ import json
 
 import pytest
 
-from ontocrawl import ChatCompletionOracle, Crawler, CrawlConfig, CostLedger, MockOracle
+from ontocrawl import ChatCompletionOracle, Crawler, CrawlConfig, MockOracle
 from ontocrawl.crawler import load_checkpoint
 from support import (
     StubTransport,
@@ -142,7 +142,7 @@ def test_a_merge_of_the_explored_concept_goes_on_under_the_survivor(goats, tmp_p
 )
 def test_a_malformed_usage_bills_no_tokens(usage):
     transport = StubTransport([{**reply("Yes"), "usage": usage}])
-    oracle = ChatCompletionOracle(transport, ledger=CostLedger(), max_in_flight=1)
+    oracle = ChatCompletionOracle(transport, max_in_flight=1)
     assert oracle.complete("Is it?").text == "Yes"
     assert len(transport.bodies) == oracle.ledger.requests == 1
     assert oracle.ledger.prompt_tokens == oracle.ledger.completion_tokens == 0
