@@ -40,6 +40,7 @@ Not thread safe: one writer at a time, readers must not overlap mutations.
 
 from __future__ import annotations
 
+import gc
 import heapq
 import json
 import logging
@@ -415,7 +416,19 @@ class ConceptHierarchy:
         """Load a hierarchy document as ``to_json_dict`` writes it (its fields,
         their types, concepts by increasing id, synonyms and edges sorted), so
         that it saves back to itself, or raise CheckpointError.  Records are
-        taken as stored and checked as the module docstring says."""
+        taken as stored and checked as the module docstring says.  The cyclic
+        garbage collector is paused for the load, whose many new containers
+        would set it off again and again, then left as the caller had it."""
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            return cls._load(data)
+        finally:
+            if enabled:
+                gc.enable()
+
+    @classmethod
+    def _load(cls, data: dict) -> "ConceptHierarchy":
         version, seed, concepts, edges = json_fields(data, "hierarchy document", _DOC_FIELDS)
         if type(version) is not int or version != CHECKPOINT_VERSION:
             raise CheckpointError(f"unsupported hierarchy version {version!r}")

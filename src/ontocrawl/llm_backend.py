@@ -392,12 +392,16 @@ class CostLedger:
 
 
 class ResponseCache:
-    """Content-addressed reply cache, persisted as append-only JSONL; a torn
-    last line is cut off, any other bad line raises CheckpointError."""
+    """Content-addressed reply cache, persisted as append-only JSONL.
+
+    Each line of the file is ``{"key", "reply", "prompt_tokens",
+    "completion_tokens"}``; in memory the cache keeps only ``key -> reply``,
+    the one field a replay reads.  On load a torn last line is cut off, and
+    any other line without a key and a text reply raises CheckpointError."""
 
     def __init__(self, path: str | Path | None = None):
         self.path = Path(path) if path is not None else None
-        self._mem: dict[str, dict] = {}
+        self._mem: dict[str, str] = {}
         self._lock = threading.Lock()
         if self.path is not None and self.path.exists():
             raw = self.path.read_bytes()
@@ -407,7 +411,10 @@ class ResponseCache:
             for number, line in enumerate(lines, start=1):
                 try:
                     rec = json.loads(line)
-                    self._mem[rec["key"]] = rec
+                    reply = rec["reply"]
+                    if type(reply) is not str:
+                        raise TypeError(f"reply {reply!r} is not text")
+                    self._mem[rec["key"]] = reply
                 except (LookupError, TypeError, ValueError) as exc:
                     raise CheckpointError(f"{self.path} line {number}: {exc!r}") from exc
 
@@ -423,14 +430,22 @@ class ResponseCache:
         material = json.dumps(fields, sort_keys=True, ensure_ascii=False)
         return hashlib.sha256(material.encode("utf-8")).hexdigest()
 
-    def get(self, key: str) -> dict | None:
+    def get(self, key: str) -> str | None:
+        """The cached reply under ``key``, or None."""
         with self._lock:
             return self._mem.get(key)
 
-    def put(self, key: str, record: dict) -> None:
-        record = {"key": key, **record}
+    def put(self, key: str, reply: str, prompt_tokens: int, completion_tokens: int) -> None:
+        """Cache ``reply`` under ``key``; the file line also keeps its token
+        counts."""
+        record = {
+            "key": key,
+            "reply": reply,
+            "prompt_tokens": prompt_tokens,
+            "completion_tokens": completion_tokens,
+        }
         with self._lock:
-            self._mem[key] = record
+            self._mem[key] = reply
             if self.path is not None:
                 self.path.parent.mkdir(parents=True, exist_ok=True)
                 with self.path.open("a", encoding="utf-8") as fh:
@@ -666,10 +681,10 @@ class ChatCompletionOracle:
                 if self._flights.get(key) is mine:
                     del self._flights[key]
             mine.set()
-        return CompletionResult(hit["reply"], cached=True)
+        return CompletionResult(hit, cached=True)
 
-    def _claim(self, key: str, mine: threading.Event) -> dict | None:
-        """The cached record under ``key``, or None once ``mine`` is the key's
+    def _claim(self, key: str, mine: threading.Event) -> str | None:
+        """The cached reply under ``key``, or None once ``mine`` is the key's
         flight, so that the calling thread is to send it.  A key in flight on
         another thread is waited for, then looked up again."""
         while True:
@@ -731,9 +746,7 @@ class ChatCompletionOracle:
                     completion_tokens=ct,
                     latency_ms=round(latency_ms, 3),
                 )
-            self.cache.put(
-                key, {"reply": text, "prompt_tokens": pt, "completion_tokens": ct}
-            )
+            self.cache.put(key, text, pt, ct)
             return CompletionResult(text)
         raise last_error if last_error is not None else TransportError("request failed")
 

@@ -132,16 +132,18 @@ def tagged(**tags: object):
 
 
 class QueryLog:
-    """Append-only record list shared by oracles and the crawler.
+    """Append-only log of oracle exchanges shared by oracles and the crawler.
 
     Records are flat dicts; each one starts with the tags ``tagged`` has open
     in the recording context.  Appends are locked so concurrent probes
     interleave without corruption.  The records of one concurrent wave land
     in the order its requests complete, not in the order they were asked.
 
-    With a ``path``, the file is truncated and then held open for appending,
-    line-buffered, so each record is in the file when ``record`` returns;
-    ``close`` releases it.
+    ``QueryLog()`` keeps its records in memory, in ``records``.  With a
+    ``path``, the file is the log: it is truncated and then held open for
+    appending, line-buffered, so each record is in the file when ``record``
+    returns, and no record is kept in memory (``records`` stays an empty
+    list, so a caller that counts it reads 0).  ``close`` releases the file.
     """
 
     def __init__(self, path: str | Path | None = None):
@@ -156,21 +158,17 @@ class QueryLog:
 
     def record(self, **fields: object) -> None:
         rec = {**_TAGS.get(), **fields}
+        if self._fh is None:
+            with self._lock:
+                self.records.append(rec)
+            return
+        line = json.dumps(rec, ensure_ascii=False) + "\n"
         with self._lock:
-            self.records.append(rec)
-            if self._fh is not None:
-                self._fh.write(json.dumps(rec, ensure_ascii=False) + "\n")
+            self._fh.write(line)
 
     def close(self) -> None:
         if self._fh is not None:
             self._fh.close()
-
-    def count(self, **match: object) -> int:
-        return sum(
-            1
-            for rec in self.records
-            if all(rec.get(k) == v for k, v in match.items())
-        )
 
 
 FIXTURE_FIELDS = ("root", "edges", "synonyms", "descriptions", "instances", "parts")

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import copy
 import functools
+import json
 import random
 import re
 import threading
@@ -184,6 +185,20 @@ def run_mock_crawl(taxonomy: GroundTruthTaxonomy, **kwargs) -> Crawler:
     crawler = make_mock_crawler(taxonomy, **kwargs)
     crawler.run()
     return crawler
+
+
+def log_records(log: QueryLog) -> list[dict]:
+    """The records of ``log``: its ``records`` when it is in memory, else
+    the lines of its file, which is then the only copy."""
+    if log.path is None:
+        return log.records
+    with log.path.open(encoding="utf-8") as fh:
+        return [json.loads(line) for line in fh]
+
+
+def count(records: list[dict], **match: object) -> int:
+    """How many of ``records`` hold every field of ``match`` at its value."""
+    return sum(all(rec.get(k) == v for k, v in match.items()) for rec in records)
 
 
 def scan_frontier(h: ConceptHierarchy, cutoff: int | None) -> list[int]:
@@ -667,7 +682,7 @@ class CrawlMatrix:
                 crawler.run()
             if out_dir is not None:
                 cli._write_outputs(crawler, out_dir)
-        records = crawler.query_log.records
+        records = log_records(crawler.query_log)
         renames = [rec["answer"] for rec in records if rec.get("op") == "rename_from_description"]
         return CrawlOutcome(
             frozen(crawler.to_checkpoint_dict()),

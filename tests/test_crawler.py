@@ -43,6 +43,7 @@ from support import (
     TaxonomyTransport,
     all_noise_modes,
     c2_taxonomy,
+    count,
     edge_names,
     llm_crawler,
     make_mock_crawler,
@@ -165,7 +166,7 @@ def test_cutoff_one_explores_only_the_seed(goats):
     assert [c.canonical_name for c in h.concepts() if c.explored] == ["Goats"]
     explores = [rec for rec in log.records if rec["op"] == "explore"]
     assert [(rec["concept"], rec["depth"]) for rec in explores] == [("Goats", 0)]
-    assert log.count(op="has_subconcepts") == 1
+    assert count(log.records, op="has_subconcepts") == 1
 
 
 def test_cutoff_two_stops_at_the_leaves(goats):
@@ -177,7 +178,7 @@ def test_cutoff_two_stops_at_the_leaves(goats):
     explores = [rec for rec in log.records if rec["op"] == "explore"]
     assert all(rec["depth"] < 2 for rec in explores)
     # Existence is only ever asked about explored concepts.
-    assert log.count(op="has_subconcepts") == 6
+    assert count(log.records, op="has_subconcepts") == 6
     unexplored = {c.canonical_name for c in h.concepts() if not c.explored}
     assert all(h.concept(h.find_by_name(n)).depth == 2 for n in unexplored)
     assert len(unexplored) == 8
@@ -305,7 +306,7 @@ def test_renamed_candidate_that_already_exists_is_not_duplicated():
     }
     assert edge_names(h) == {("Dairy Goats", "Goats"), ("Meat Goats", "Goats")}
     assert crawler.rejections == []
-    assert log.count(op="rename_from_description") == 1
+    assert count(log.records, op="rename_from_description") == 1
 
 
 # ---------------------------------------------------------------------------
@@ -870,7 +871,7 @@ def test_a_transport_failure_in_verification_aborts_instead_of_rejecting(
     uninterrupted = run_mock_crawl(goats, noise=noise)
     expected = outcome(uninterrupted, "counters")
     for op in VERIFICATION_OPS:
-        calls = uninterrupted.query_log.count(op=op)
+        calls = count(uninterrupted.query_log.records, op=op)
         assert calls or (noise is None and op == "rename_from_description")
         for k in range(calls):
             path = tmp_path / f"{op}-{k}.json"

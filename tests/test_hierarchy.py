@@ -1,5 +1,7 @@
 """Hierarchy core: closure, reduction, depths, merging, serialization."""
 
+import gc
+import itertools
 import random
 
 import pytest
@@ -399,6 +401,21 @@ def test_json_round_trip_preserves_everything():
     assert restored.concept(5).description == "Number five."
     assert restored.concept(7).explored
     restored.verify_integrity()
+
+
+def test_a_load_leaves_the_garbage_collector_as_it_found_it():
+    good = build_hierarchy([(1, 0), (2, 1)], 3).to_json_dict()
+    was = gc.isenabled()
+    try:
+        for enabled, doc in itertools.product((True, False), (good, {**good, "version": 99})):
+            (gc.enable if enabled else gc.disable)()
+            try:
+                ConceptHierarchy.from_json_dict(doc)
+            except CheckpointError:
+                assert doc is not good
+            assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
 
 
 def test_from_json_rejects_malformed_documents():

@@ -27,6 +27,7 @@ import daggen
 from support import (
     StubTransport,
     all_noise_modes,
+    count,
     edge_names,
     hierarchy_from_taxonomy,
     reply,
@@ -147,7 +148,7 @@ def test_synonym_discovered_on_both_sides_is_absorbed():
     assert h.find_by_name("Milk Goats") == dairy
     assert "Milk Goats" in h.concept(dairy).all_names()
     assert placement.probes_issued == 3
-    assert log.count(op="interchangeable") == 1
+    assert count(log.records, op="interchangeable") == 1
 
 
 class ScriptedOracle:
@@ -358,7 +359,7 @@ def test_probe_accounting_balances_over_a_full_build(goats):
     assert edge_names(h) == {
         (c, p) for c, p in goats.edges
     }
-    assert total_issued == log.count(op="is_subcategory_of")
+    assert total_issued == count(log.records, op="is_subcategory_of")
     # Well under the brute-force bound of n(n-1) both-direction probes.
     assert total_issued < 14 * 13
 

@@ -25,6 +25,7 @@ from ontocrawl import (
     verify,
 )
 from ontocrawl.errors import (
+    CheckpointError,
     InvalidInputError,
     OracleParseError,
     TemplateError,
@@ -43,7 +44,7 @@ from ontocrawl.llm_backend import (
     render,
 )
 from ontocrawl.oracle import tagged
-from support import StubTransport, decode, llm_crawler, reply
+from support import StubTransport, TaxonomyTransport, decode, llm_crawler, reply
 
 CTX = OracleContext(seed_name="Goats")
 
@@ -395,10 +396,65 @@ def test_response_cache_persists_to_disk(tmp_path):
     assert key != ResponseCache.key_for("a prompt", params, 1)
 
     cache = ResponseCache(path)
-    cache.put(key, {"reply": "Yes", "prompt_tokens": 3, "completion_tokens": 1})
+    cache.put(key, "Yes", 3, 1)
     reloaded = ResponseCache(path)
     assert len(reloaded) == 1
-    assert reloaded.get(key)["reply"] == "Yes"
+    assert reloaded.get(key) == "Yes"
+
+
+def test_response_cache_lines_keep_their_format(tmp_path):
+    """A put appends the line it always has: the key, the reply and both
+    token counts, in that order, as UTF-8 JSON with non-ASCII kept."""
+    path = tmp_path / "cache.jsonl"
+    cache = ResponseCache(path)
+    cache.put("k1", "Ja, Käse", 3, 1)
+    cache.put("k2", "No", 12, 2)
+    assert path.read_bytes() == (
+        b'{"key": "k1", "reply": "Ja, K\xc3\xa4se", "prompt_tokens": 3, "completion_tokens": 1}\n'
+        b'{"key": "k2", "reply": "No", "prompt_tokens": 12, "completion_tokens": 2}\n'
+    )
+
+
+def test_a_cache_file_of_the_record_format_replays_every_reply(tmp_path):
+    """A ``cache.jsonl`` of full records (key, reply, token counts) loads,
+    and every reply it holds is answered from it without a send."""
+    path = tmp_path / "cache.jsonl"
+    params = CompletionParams()
+    oracle = ChatCompletionOracle(StubTransport([]), max_in_flight=1)
+    draws = oracle.sampling_params
+    replies = {
+        ResponseCache.key_for("Is it?", params): "Yes",
+        ResponseCache.key_for("List.", draws, 0): "Dairy",
+        ResponseCache.key_for("List.", draws, 1): "Meat",
+        ResponseCache.key_for("List.", draws, 2): "Dairy",
+    }
+    lines = [
+        json.dumps({"key": k, "reply": r, "prompt_tokens": 7, "completion_tokens": 1})
+        for k, r in replies.items()
+    ]
+    path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+
+    oracle.cache = ResponseCache(path)
+    assert len(oracle.cache) == len(replies)
+    assert oracle.complete("Is it?") == llm_backend.CompletionResult("Yes", cached=True)
+    assert oracle.sample_first_tokens("List.", 3, 1) == {"Dairy": 2, "Meat": 1}
+    assert oracle.transport.bodies == [] and oracle.ledger.requests == 0
+
+
+@pytest.mark.parametrize("line", ['{"key": "k"}', '{"key": "k", "reply": 7}', '["k", "Yes"]'])
+def test_a_cache_line_without_a_text_reply_is_refused(tmp_path, line):
+    path = tmp_path / "cache.jsonl"
+    path.write_text(line + "\n", encoding="utf-8")
+    with pytest.raises(CheckpointError, match="line 1"):
+        ResponseCache(path)
+
+
+def test_an_llm_crawl_caches_only_reply_text(goats):
+    crawler = llm_crawler(TaxonomyTransport(goats), "Goats")
+    crawler.run()
+    held = crawler.oracle.cache._mem
+    assert len(held) == crawler.ledger.requests > 0
+    assert all(type(reply) is str for reply in held.values())
 
 
 # ---------------------------------------------------------------------------
@@ -441,8 +497,8 @@ def test_a_second_sampling_of_a_prompt_replays_its_draws():
     params = oracle.sampling_params
     key = ResponseCache.key_for("List.", params, 0)
     assert key == "df6e40e627e67d017b2d2f215b50d84a6a1b79e288c65e2daac897afbfe7a151"
-    assert oracle.cache.get(key)["reply"] == "Dairy"
-    assert oracle.cache.get(ResponseCache.key_for("List.", params, 1))["reply"] == "Meat"
+    assert oracle.cache.get(key) == "Dairy"
+    assert oracle.cache.get(ResponseCache.key_for("List.", params, 1)) == "Meat"
 
 
 def test_retryable_failures_back_off_then_succeed():

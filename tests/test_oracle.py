@@ -10,6 +10,7 @@ import re
 import subprocess
 import sys
 import threading
+from contextlib import closing
 from pathlib import Path
 
 import pytest
@@ -26,7 +27,7 @@ from ontocrawl import (
 from ontocrawl.errors import InvalidInputError
 from ontocrawl.llm_backend import CostLedger
 from ontocrawl.oracle import _INFLATION_PREFIXES, tagged
-from support import NOISE_RATES, all_noise_modes, c2_dag
+from support import NOISE_RATES, all_noise_modes, c2_dag, count, log_records, run_mock_crawl
 
 # A small taxonomy with a synonym pair, an instance and two parts, so every
 # noise mode has material to work with.
@@ -401,7 +402,7 @@ def test_every_operation_logs_once_and_ticks_the_ledger(goats):
     assert ledger.requests == 10
     ops = [rec["op"] for rec in log.records]
     assert ops[0] == "has_subconcepts" and ops[-1] == "subcategory_direction"
-    assert log.count(op="is_subcategory_of", d="Saanen", c="Goats") == 1
+    assert count(log.records, op="is_subcategory_of", d="Saanen", c="Goats") == 1
 
 
 def test_concurrent_probes_lose_no_ledger_tick(goats):
@@ -466,10 +467,48 @@ def test_query_log_persists_jsonl(goats, tmp_path):
         oracle, ctx = mk(goats, query_log=log)
         oracle.has_subconcepts(ctx, "Goats")
         oracle.under_seed(ctx, "Boer")
-        lines = path.read_text(encoding="utf-8").splitlines()
-        assert [json.loads(line) for line in lines] == log.records
+        assert log.records == []
+        assert [rec["op"] for rec in log_records(log)] == ["has_subconcepts", "under_seed"]
     finally:
         log.close()
+
+
+def test_concurrent_records_land_whole_in_the_file(tmp_path):
+    path = tmp_path / "queries.jsonl"
+    with closing(QueryLog(path)) as log:
+        threads = [
+            threading.Thread(
+                target=lambda t=t: [log.record(op="probe", t=t, i=i) for i in range(300)]
+            )
+            for t in range(8)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+    records = log_records(log)
+    assert sorted((r["t"], r["i"]) for r in records) == [
+        (t, i) for t in range(8) for i in range(300)
+    ]
+
+
+def test_a_file_backed_log_is_its_file(goats, tmp_path):
+    """After the same crawl, a log with a path keeps no records, and its
+    file holds, line for line, the JSON of an in-memory log's records."""
+    path = tmp_path / "queries.jsonl"
+    with closing(QueryLog(path)) as on_file:
+        run_mock_crawl(goats, query_log=on_file)
+    in_memory = run_mock_crawl(goats).query_log
+    assert on_file.records == []
+    lines = path.read_text(encoding="utf-8").splitlines()
+    assert lines == [json.dumps(rec, ensure_ascii=False) for rec in in_memory.records]
+    assert len(lines) == 154
 
 
 def test_describe_uses_fixture_text_and_falls_back(goats):

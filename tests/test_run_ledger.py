@@ -19,7 +19,7 @@ from ontocrawl import ChatCompletionOracle, Crawler, CrawlConfig, MockOracle, Qu
 from ontocrawl.cli import EXIT_OK, main
 from ontocrawl.crawler import load_checkpoint
 from ontocrawl.llm_backend import CostLedger
-from support import GOATS_PATH, TaxonomyTransport
+from support import GOATS_PATH, TaxonomyTransport, count
 
 CONFIGS = {
     "mock": CrawlConfig(seed_name="Goats", oracle=f"mock:{GOATS_PATH}"),
@@ -67,7 +67,7 @@ def test_a_crawler_built_from_an_oracle_alone_bills_what_the_oracle_billed(
     if kind == "llm":
         assert requests == oracle.transport.requests
     # The crawl's own records land in the oracle's log.
-    assert oracle.query_log.count(op="explore") == crawler.explorations > 0
+    assert count(oracle.query_log.records, op="explore") == crawler.explorations > 0
 
     cli_crawl(kind, tmp_path / "cli", goats, monkeypatch)
     assert load_checkpoint(path) == load_checkpoint(tmp_path / "cli" / "checkpoint.json")
@@ -109,5 +109,5 @@ def test_a_resumed_crawl_bills_the_restored_ledger(kind, goats, tmp_path):
     assert restored == first.ledger.requests > 0
     resumed.run()
     assert resumed.ledger.requests == restored + billed(oracle.query_log)
-    assert oracle.query_log.count(op="explore") == resumed.explorations - 3
+    assert count(oracle.query_log.records, op="explore") == resumed.explorations - 3
     assert load_checkpoint(path)["ledger"] == resumed.ledger.to_dict()
